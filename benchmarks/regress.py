@@ -2,9 +2,10 @@
 
 Re-runs ``benchmarks/bench_hotpaths.py`` and compares each benchmark's
 *speedup ratio* against the committed baseline report
-(``benchmarks/reports/bench_hotpaths.json``).  Ratios — not wall-clock —
-are compared, so the gate is machine-independent: a slower CI runner slows
-the "before" and "after" sides equally.
+(``benchmarks/reports/bench_hotpaths.json``), then does the same for every
+bench module listed in ``GATES`` against its own committed baseline.
+Ratios — not wall-clock — are compared, so the gate is machine-independent:
+a slower CI runner slows the "before" and "after" sides equally.
 
 A benchmark regresses when its current speedup falls below 80% of its
 baseline speedup.  Baselines are capped at 3.0x before applying the
@@ -43,6 +44,32 @@ LATEST_PATH = REPORT_PATH.with_name("regress_latest.json")
 
 TOLERANCE = 0.8    # current speedup must stay within 80% of baseline
 BASELINE_CAP = 3.0  # very large baseline ratios are clamped before comparing
+
+# Each gate re-runs one bench module's suite and compares its speedup rows
+# against that module's committed baseline with the rule above:
+# (module, table title, baseline noun for the missing-baseline message).
+GATES = (
+    # E14: simulated-time utilisation, deterministic — any drop below the
+    # floor is a real scheduling regression, not machine noise.
+    (bench_concurrency, "concurrency (E14)", "concurrency"),
+    # E15: fan-out speedups and the session-delta byte-reduction ratio;
+    # exact (simulated clock + exact wire sizes), so fanout_x4 must stay
+    # >= 0.8 * min(2.5, 3.0) = 2.0x, above the 1.5x acceptance bar.
+    (bench_fanout, "scatter-gather (E15)", "fan-out"),
+    # E16: disabled-tracer rows carry speedup 1.0 (pure wall-time
+    # baselines); trace_determinism carries 1.0 iff two seeded faulty
+    # traces serialised byte-identically, so its 0.8 floor fails the run
+    # on any divergence.
+    (bench_obs, "observability (E16)", "observability"),
+    # E17: store-overhead t_off/t_on wall ratios (near 1.0), warm restarts
+    # beating cold re-derivation, and a deterministic wire-size ratio whose
+    # floor catches a broken ledger restore.
+    (bench_persistence, "persistence (E17)", "persistence"),
+    # E18: mutual-recursion rows carry 1.0 iff gem produced the exact
+    # expected answer relation (0.0 otherwise, which always fails), and the
+    # repeat-query row is the first-round/repeat-round byte ratio.
+    (bench_gem, "distributed tabling (E18)", "tabling"),
+)
 
 
 def load_baseline(path: Path) -> dict:
@@ -96,110 +123,21 @@ def main(argv=None) -> int:
 
     print(format_table(rows, title="hot-path perf regression check"))
 
-    # E14 concurrency gate: same ratio-based comparison against its own
-    # committed baseline.  The speedups are simulated-time utilisation —
-    # deterministic, so any drop below the floor is a real scheduling
-    # regression, not machine noise.
-    conc_baseline_path = bench_concurrency.REPORT_PATH
-    if conc_baseline_path.exists():
-        conc_baseline = load_baseline(conc_baseline_path)
-        conc_current = [
+    for module, title, noun in GATES:
+        if not module.REPORT_PATH.exists():
+            failures.append(f"no {noun} baseline at {module.REPORT_PATH}; "
+                            f"run {module.__name__}.py first")
+            continue
+        gate_current = [
             {"benchmark": row["benchmark"], "speedup": row["speedup"]}
-            for row in bench_concurrency.run_suite(quick=args.quick)
+            for row in module.run_suite(quick=args.quick)
         ]
-        conc_rows, conc_failures = compare(conc_baseline, conc_current)
-        print(format_table(conc_rows,
-                           title="concurrency (E14) regression check"))
-        rows += conc_rows
-        failures += conc_failures
-    else:
-        failures.append(f"no concurrency baseline at {conc_baseline_path}; "
-                        "run bench_concurrency.py first")
+        gate_rows, gate_failures = compare(
+            load_baseline(module.REPORT_PATH), gate_current)
+        print(format_table(gate_rows, title=f"{title} regression check"))
+        rows += gate_rows
+        failures += gate_failures
 
-    # E15 scatter-gather gate: fan-out speedups and the session-delta
-    # byte-reduction ratio, compared against their committed baseline.
-    # Deterministic (simulated clock + exact wire sizes), so the floors are
-    # exact: fanout_x4 must stay >= 0.8 * min(2.5, 3.0) = 2.0x >= the 1.5x
-    # acceptance bar, and the delta ratio must stay near its baseline.
-    fanout_baseline_path = bench_fanout.REPORT_PATH
-    if fanout_baseline_path.exists():
-        fanout_baseline = load_baseline(fanout_baseline_path)
-        fanout_current = [
-            {"benchmark": row["benchmark"], "speedup": row["speedup"]}
-            for row in bench_fanout.run_suite(quick=args.quick)
-        ]
-        fanout_rows, fanout_failures = compare(fanout_baseline, fanout_current)
-        print(format_table(fanout_rows,
-                           title="scatter-gather (E15) regression check"))
-        rows += fanout_rows
-        failures += fanout_failures
-    else:
-        failures.append(f"no fan-out baseline at {fanout_baseline_path}; "
-                        "run bench_fanout.py first")
-
-    # E16 observability gate: the disabled-tracer rows carry speedup 1.0
-    # (pure wall-time baselines) and trace_determinism carries 1.0 iff two
-    # seeded faulty traces serialised byte-identically — so its floor,
-    # 0.8 * 1.0, fails the run on any divergence, and the pytest entry in
-    # bench_obs.py additionally pins exact identity.
-    obs_baseline_path = bench_obs.REPORT_PATH
-    if obs_baseline_path.exists():
-        obs_baseline = load_baseline(obs_baseline_path)
-        obs_current = [
-            {"benchmark": row["benchmark"], "speedup": row["speedup"]}
-            for row in bench_obs.run_suite(quick=args.quick)
-        ]
-        obs_rows, obs_failures = compare(obs_baseline, obs_current)
-        print(format_table(obs_rows,
-                           title="observability (E16) regression check"))
-        rows += obs_rows
-        failures += obs_failures
-    else:
-        failures.append(f"no observability baseline at {obs_baseline_path}; "
-                        "run bench_obs.py first")
-
-    # E17 persistence gate: store-overhead rows are t_off/t_on wall ratios
-    # (near 1.0 — a collapse means per-event persistence started dominating
-    # negotiations), warm_restart_tables must keep beating cold fixpoint
-    # re-derivation, and warm_restart_deltas is a deterministic wire-size
-    # ratio whose floor catches a broken ledger restore.
-    persist_baseline_path = bench_persistence.REPORT_PATH
-    if persist_baseline_path.exists():
-        persist_baseline = load_baseline(persist_baseline_path)
-        persist_current = [
-            {"benchmark": row["benchmark"], "speedup": row["speedup"]}
-            for row in bench_persistence.run_suite(quick=args.quick)
-        ]
-        persist_rows, persist_failures = compare(persist_baseline,
-                                                 persist_current)
-        print(format_table(persist_rows,
-                           title="persistence (E17) regression check"))
-        rows += persist_rows
-        failures += persist_failures
-    else:
-        failures.append(f"no persistence baseline at {persist_baseline_path}; "
-                        "run bench_persistence.py first")
-
-    # E18 tabling gate: the mutual-recursion rows carry 1.0 iff gem produced
-    # the exact expected answer relation (0.0 otherwise, which the 0.8x floor
-    # always fails), and the repeat-query row is the deterministic
-    # first-round/repeat-round byte ratio — a collapse means completed
-    # tables stopped serving repeat queries.
-    gem_baseline_path = bench_gem.REPORT_PATH
-    if gem_baseline_path.exists():
-        gem_baseline = load_baseline(gem_baseline_path)
-        gem_current = [
-            {"benchmark": row["benchmark"], "speedup": row["speedup"]}
-            for row in bench_gem.run_suite(quick=args.quick)
-        ]
-        gem_rows, gem_failures = compare(gem_baseline, gem_current)
-        print(format_table(gem_rows,
-                           title="distributed tabling (E18) regression check"))
-        rows += gem_rows
-        failures += gem_failures
-    else:
-        failures.append(f"no tabling baseline at {gem_baseline_path}; "
-                        "run bench_gem.py first")
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps({
         "baseline": str(args.baseline),

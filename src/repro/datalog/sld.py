@@ -73,12 +73,13 @@ Dispatcher = Callable[[Literal, Substitution, int], Optional[Iterator[tuple[Subs
 class Suspension:
     """A request to pause resolution until an external event supplies a value.
 
-    Suspendable dispatchers (the event-driven negotiation runtime) yield a
-    ``Suspension`` instead of blocking on a remote call.  Every generator in
-    the resolution stack forwards it upward unchanged — ``yield from`` does
-    so natively, and the explicit conjunction/body loops re-yield it — until
-    it reaches the driver pumping the evaluation, which performs the remote
-    exchange and resumes the generator with ``send(outcome)``.  An exception
+    Dispatchers that reach beyond the engine (the negotiation runtime's
+    remote calls) yield a ``Suspension`` instead of blocking.  Every
+    generator in the resolution stack forwards it upward unchanged —
+    ``yield from`` does so natively, and the explicit conjunction/body loops
+    re-yield it — until it reaches the driver pumping the evaluation, which
+    performs the remote exchange and resumes the generator with
+    ``send(outcome)``.  An exception
     instance sent back is raised at the original suspension point, so the
     existing failure discipline applies unchanged.
 
@@ -93,20 +94,6 @@ class Suspension:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Suspension({self.payload!r})"
-
-
-class TableSuspension(Suspension):
-    """A suspension waiting on a goal table rather than a request/reply pair
-    (GEM-style distributed tabling).
-
-    Yielded when the evaluation must perform a *one-way* table exchange —
-    today, delivering a ``TableComplete`` notification to an SCC member —
-    with transport fault/retry semantics but no reply routing.  The driver
-    resumes the generator with ``None`` on success or an exception instance
-    on terminal failure, exactly like :class:`Suspension`.
-    """
-
-    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,7 +303,7 @@ class SLDEngine:
         # clause object since the transformation is deterministic.
         self.reorder_bodies = reorder_bodies
         self._reordered: dict[tuple, Rule] = {}
-        # Scatter-gather prefetch hook (suspendable dispatchers only): a
+        # Scatter-gather prefetch hook (negotiation dispatchers only): a
         # generator-valued callable invoked once per multi-goal conjunction
         # *before* left-to-right resolution.  It may suspend (to issue
         # independent remote sub-queries concurrently) but yields no
@@ -393,7 +380,7 @@ class SLDEngine:
                 if isinstance(item, Suspension):
                     raise EvaluationError(
                         "a Suspension escaped a synchronous query(); drive "
-                        "suspendable evaluations through iter_query() instead")
+                        "suspending evaluations through iter_query() instead")
                 result_subst, proofs = item
                 key = tuple(
                     canonical_literal(goal.apply(result_subst)) for goal in goal_list
@@ -424,7 +411,7 @@ class SLDEngine:
         subst: Optional[Substitution] = None,
         max_solutions: Optional[int] = None,
     ) -> Iterator:
-        """Suspendable counterpart of :meth:`query`.
+        """Step form of :meth:`query`.
 
         Yields :class:`Suspension` items (forward them to the event driver
         and ``send`` the outcome back in) interleaved with deduplicated
@@ -487,7 +474,7 @@ class SLDEngine:
             if isinstance(item, Suspension):
                 raise EvaluationError(
                     "a Suspension escaped a synchronous solve(); drive "
-                    "suspendable evaluations through iter_query() instead")
+                    "suspending evaluations through iter_query() instead")
             result_subst, proofs = item
             yield Solution(result_subst, proofs)
 
@@ -545,7 +532,7 @@ class SLDEngine:
         if len(goals) > 1 and self.gather_hook is not None:
             # yield from forwards the hook's Suspensions upward and routes
             # the driver's send() values back into it, like any other
-            # suspendable sub-generator.
+            # sub-generator that may suspend.
             yield from self.gather_hook(goals, subst, depth)
         goal, rest = goals[0], goals[1:]
 

@@ -93,7 +93,10 @@ def match(
             # with no bindings to add.
             continue
         if isinstance(p, Variable):
-            subst = subst.bind(p, i)
+            if not (isinstance(i, Variable) and p == i):
+                # An equal but non-identical variable (a term built with
+                # interning off) must not bind to itself: walk would loop.
+                subst = subst.bind(p, i)
             continue
         if isinstance(i, Variable):
             return None

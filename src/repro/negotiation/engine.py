@@ -44,13 +44,12 @@ from repro.datalog.substitution import Substitution
 from repro.datalog.terms import Constant, Variable
 from repro.errors import (
     CredentialError,
-    EvaluationError,
     KeyError_,
     MessageTooLargeError,
     SignatureError,
     TransientNetworkError,
 )
-from repro.net.message import QueryMessage, TableAnswerMessage, ref_matches
+from repro.net.message import Message, QueryMessage, TableAnswerMessage, ref_matches
 from repro.negotiation.session import Session
 from repro.obs import trace as _trace
 from repro.obs.flightrec import RECORDER as _FLIGHTREC
@@ -63,19 +62,21 @@ _EMPTY_KB = KnowledgeBase()
 
 
 class RemoteCall:
-    """Payload of a :class:`repro.datalog.sld.Suspension` raised by a
-    suspendable evaluation: the prepared query, ready for transmission.
-    The event driver must resume the suspended generator with either the
-    reply message or an exception instance (raised at the call site, so the
+    """Payload of a :class:`repro.datalog.sld.Suspension`: a prepared
+    message, ready for transmission.  The event driver resumes the
+    suspended generator with the reply message (``None`` for a ``one_way``
+    delivery) or an exception instance (raised at the call site, so the
     normal failure discipline of ``_remote_solutions`` applies)."""
 
-    __slots__ = ("message", "session", "trace_ctx")
+    __slots__ = ("message", "session", "one_way", "trace_ctx")
 
-    def __init__(self, message: QueryMessage, session: Session) -> None:
+    def __init__(self, message: Message, session: Session,
+                 one_way: bool = False) -> None:
         self.message = message
         self.session = session
+        self.one_way = one_way
         # Span that issued this call (set only while tracing): the driver
-        # parents the resulting RequestExchange under it.
+        # parents the resulting Exchange under it.
         self.trace_ctx = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -100,17 +101,21 @@ class GatherCall:
         return f"GatherCall({len(self.calls)} calls)"
 
 
-def drain_steps(steps):
-    """Run a step generator to completion synchronously and return its
-    result.  Step generators parameterised with ``suspendable=False`` never
-    yield — every remote call runs inline — so anything surfacing here is a
-    programming error, not network weather."""
-    try:
-        item = steps.send(None)
-    except StopIteration as stop:
-        return stop.value
-    raise EvaluationError(
-        f"synchronous evaluation suspended unexpectedly on {item!r}")
+def collect_solutions(source):
+    """Step generator over a solution stream (``SLDEngine.iter_query``):
+    forwards its suspensions and returns the list of solutions it yields."""
+    solutions: list[Solution] = []
+    outcome = None
+    while True:
+        try:
+            item = source.send(outcome)
+        except StopIteration:
+            return solutions
+        outcome = None
+        if isinstance(item, Suspension):
+            outcome = yield item
+        else:
+            solutions.append(item)
 
 
 class EvalContext:
@@ -149,7 +154,6 @@ class EvalContext:
         allow_remote: bool = True,
         drop_peers: frozenset[str] = frozenset(),
         max_depth: Optional[int] = None,
-        suspendable: bool = False,
     ) -> None:
         self.peer = peer
         self.session = session
@@ -157,10 +161,6 @@ class EvalContext:
         self.stores = list(stores)
         self.allow_remote = allow_remote
         self.drop_peers = drop_peers
-        # Suspendable contexts yield a Suspension(RemoteCall) instead of
-        # calling transport.request inline; the event-driven runtime resumes
-        # them when the answer event is delivered.
-        self.suspendable = suspendable
         self.engine = SLDEngine(
             kb if kb is not None else _EMPTY_KB,
             builtins=peer.builtins,
@@ -182,55 +182,53 @@ class EvalContext:
         # attached to the RemoteCalls it issues (tracing only).
         self._remote_span = None
         transport = getattr(peer, "transport", None)
-        if (suspendable and allow_remote and transport is not None
+        if (allow_remote and transport is not None
                 and getattr(transport, "max_in_flight", 1) > 1):
             self.engine.gather_hook = self._gather_prefetch
 
     # -- public querying --------------------------------------------------------
 
     def query_goal(self, goal: Literal, max_solutions: Optional[int] = None) -> list[Solution]:
-        bound = bind_pseudovars_in_literal(goal, self.requester, self.peer.name)
-        return self.engine.query([bound], max_solutions=max_solutions)
+        """Solutions of ``goal``, synchronously.  A context that may go
+        remote runs on the transport's event loop, so — like every
+        synchronous entry point — it must not be called from inside a
+        dispatched event; use :meth:`iter_query_goal` there."""
+        return self._solve_now(self._bind([goal]), max_solutions)
 
     def prove(self, goals: Sequence[Literal]) -> Optional[Solution]:
-        """First solution of a conjunction, or ``None``."""
-        bound = [
-            bind_pseudovars_in_literal(g, self.requester, self.peer.name)
-            for g in goals
-        ]
-        solutions = self.engine.query(bound, max_solutions=1)
+        """First solution of a conjunction, or ``None`` (synchronous, like
+        :meth:`query_goal`)."""
+        solutions = self._solve_now(self._bind(goals), 1)
         return solutions[0] if solutions else None
 
+    def _bind(self, goals: Sequence[Literal]) -> list[Literal]:
+        return [bind_pseudovars_in_literal(g, self.requester, self.peer.name)
+                for g in goals]
+
+    def _solve_now(self, goals: list[Literal],
+                   max_solutions: Optional[int]) -> list[Solution]:
+        transport = getattr(self.peer, "transport", None)
+        if not self.allow_remote or transport is None:
+            # Nothing can suspend: run the engine directly.
+            return self.engine.query(goals, max_solutions=max_solutions)
+        from repro.runtime.scheduler import run_steps
+
+        return run_steps(transport, collect_solutions(
+            self.engine.iter_query(goals, max_solutions=max_solutions)))
+
     def iter_query_goal(self, goal: Literal, max_solutions: Optional[int] = None):
-        """Suspendable counterpart of :meth:`query_goal`: a generator of
+        """Step form of :meth:`query_goal`: a generator of
         :class:`Suspension` and :class:`Solution` items (see
         :meth:`repro.datalog.sld.SLDEngine.iter_query`)."""
         bound = bind_pseudovars_in_literal(goal, self.requester, self.peer.name)
         return self.engine.iter_query([bound], max_solutions=max_solutions)
 
     def prove_steps(self, goals: Sequence[Literal]):
-        """Suspendable counterpart of :meth:`prove`: a step generator whose
-        return value is the first solution of the conjunction, or ``None``."""
-        bound = [
-            bind_pseudovars_in_literal(g, self.requester, self.peer.name)
-            for g in goals
-        ]
-        source = self.engine.iter_query(bound, max_solutions=1)
-        found: Optional[Solution] = None
-        outcome = None
-        while True:
-            try:
-                item = source.send(outcome)
-            except StopIteration:
-                break
-            outcome = None
-            if isinstance(item, Suspension):
-                outcome = yield item
-                continue
-            found = item
-            source.close()
-            break
-        return found
+        """Step form of :meth:`prove`: returns the first solution of the
+        conjunction, or ``None``."""
+        solutions = yield from collect_solutions(
+            self.engine.iter_query(self._bind(goals), max_solutions=1))
+        return solutions[0] if solutions else None
 
     def derive_evidence(self, goal: Literal) -> Optional[ProofNode]:
         """Evidence-mode entry: one proof of ``goal``, or ``None``."""
@@ -554,29 +552,12 @@ class EvalContext:
                 if self._remote_span is not None:
                     self._remote_span.attrs["prefetched"] = True
                 # Gather half already transmitted the query and logged it;
-                # replay its outcome through the same failure discipline the
-                # sequential path applies below.  Anything else (notably
-                # DeadlineExceeded) propagates, exactly as a live raise would.
-                try:
-                    if isinstance(prefetched, BaseException):
-                        raise prefetched
-                    reply = prefetched
-                except TransientNetworkError as error:
-                    self.session.counters["network_failures"] += 1
-                    self.session.log("gave-up", self.peer.name, target, str(error))
-                    self._note_branch_failure("transient", target)
-                    return
-                except MessageTooLargeError as error:
-                    self.session.counters["oversized_messages"] += 1
-                    self.session.log("oversized", self.peer.name, target, str(error))
-                    self._note_branch_failure("oversized", target)
-                    return
-                except SignatureError as error:
-                    self.session.counters["corrupt_payloads"] += 1
-                    self.session.log("corrupt", self.peer.name, target, str(error))
-                    self._note_branch_failure("corrupt", target)
-                    return
-                yield from self._absorb_reply(goal, reduced, subst, target, reply)
+                # its outcome goes through the same failure discipline as a
+                # live one.
+                reply = self._reply_or_branch_failure(prefetched, target)
+                if reply is not None:
+                    yield from self._absorb_reply(
+                        goal, reduced, subst, target, reply)
                 return
         request = self._issue_remote(reduced, target, depth)
         if request is None:
@@ -593,51 +574,48 @@ class EvalContext:
         if not gem and not self.session.enter_remote(
                 self.peer.name, target, goal_key):
             return
-        # Failure discipline: transient losses (already retried by the
-        # transport) and deterministic faults (oversize, corruption) fail
-        # only this proof branch — the answer set can shrink but never admit
-        # unverified material.  DeadlineExceeded is neither: it propagates
-        # so the whole negotiation terminates promptly (the driver converts
-        # it into a clean failure outcome).
         try:
             self.session.log("query", self.peer.name, target, str(reduced))
-            try:
-                if self.suspendable:
-                    # Event-driven mode: park this evaluation as a pending
-                    # continuation; the scheduler resumes it with the reply
-                    # (or with the exception the inline path would have seen).
-                    call = RemoteCall(request, self.session)
-                    call.trace_ctx = self._remote_span
-                    outcome = yield Suspension(call)
-                    if isinstance(outcome, BaseException):
-                        raise outcome
-                    reply = outcome
-                else:
-                    reply = self.peer.transport.request(request)
-            except TransientNetworkError as error:
-                self.session.counters["network_failures"] += 1
-                self.session.log("gave-up", self.peer.name, target, str(error))
-                self._note_branch_failure("transient", target)
-                return
-            except MessageTooLargeError as error:
-                # Deterministic: the same query is oversized every time, so
-                # it is not a droppable transient and must not be retried.
-                self.session.counters["oversized_messages"] += 1
-                self.session.log("oversized", self.peer.name, target, str(error))
-                self._note_branch_failure("oversized", target)
-                return
-            except SignatureError as error:
-                # Payload corrupted in transit and detected; retrying is the
-                # transport's call (it did not), re-deriving is ours: fail.
-                self.session.counters["corrupt_payloads"] += 1
-                self.session.log("corrupt", self.peer.name, target, str(error))
-                self._note_branch_failure("corrupt", target)
-                return
+            # Park this evaluation as a pending continuation; the scheduler
+            # resumes it with the reply or the exception that ended the
+            # exchange.
+            call = RemoteCall(request, self.session)
+            call.trace_ctx = self._remote_span
+            outcome = yield Suspension(call)
+            reply = self._reply_or_branch_failure(outcome, target)
         finally:
             if not gem:
                 self.session.exit_remote(self.peer.name, target, goal_key)
+        if reply is not None:
+            yield from self._absorb_reply(goal, reduced, subst, target, reply)
 
-        yield from self._absorb_reply(goal, reduced, subst, target, reply)
+    # Failure discipline for a remote call's outcome: transient losses
+    # (already retried by the exchange) and deterministic faults — an
+    # oversized query fails every time, a corrupted payload was detected
+    # and re-deriving is ours to do — fail only this proof branch, so the
+    # answer set can shrink but never admit unverified material.
+    # (error type, session counter, transcript kind, recorder kind)
+    _BRANCH_FAILURES = (
+        (TransientNetworkError, "network_failures", "gave-up", "transient"),
+        (MessageTooLargeError, "oversized_messages", "oversized", "oversized"),
+        (SignatureError, "corrupt_payloads", "corrupt", "corrupt"),
+    )
+
+    def _reply_or_branch_failure(self, outcome, target: str):
+        """The reply carried by ``outcome``, or ``None`` once a
+        branch-failing error has been recorded.  Any other error — notably
+        ``DeadlineExceeded`` — is raised, so the whole negotiation
+        terminates promptly (the driver converts it into a clean failure
+        outcome)."""
+        if not isinstance(outcome, BaseException):
+            return outcome
+        for error_type, counter, log_kind, kind in self._BRANCH_FAILURES:
+            if isinstance(outcome, error_type):
+                self.session.counters[counter] += 1
+                self.session.log(log_kind, self.peer.name, target, str(outcome))
+                self._note_branch_failure(kind, target)
+                return None
+        raise outcome
 
     def gem_mode(self) -> bool:
         """True when this evaluation runs under GEM distributed tabling."""

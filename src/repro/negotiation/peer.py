@@ -11,9 +11,9 @@ A :class:`Peer` bundles everything §2 attributes to a party:
 - policy knobs: how deep it will reason for others, whether it insists on
   certified answers, how many answers it returns per query.
 
-``handle`` is the single inbound entry point (the transport calls it); the
-outbound entry point is :meth:`Peer.request` / the strategy drivers in
-:mod:`repro.negotiation.strategies`.
+:meth:`Peer.handle_steps` is the inbound entry point the event runtime
+drives (:meth:`Peer.handle` runs it synchronously); the outbound entry
+points are the strategy drivers in :mod:`repro.negotiation.strategies`.
 
 Release semantics implemented in :meth:`_releasable` (default-deny):
 
@@ -30,7 +30,7 @@ Release semantics implemented in :meth:`_releasable` (default-deny):
 from __future__ import annotations
 
 from dataclasses import replace as _replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.credentials.credential import (
     Credential,
@@ -67,9 +67,9 @@ from repro.net.message import (
     credential_ref,
     dedup_answer_credentials,
 )
-from repro.datalog.sld import Suspension, TableSuspension, unify_literals
+from repro.datalog.sld import Suspension, unify_literals
 from repro.datalog.substitution import Substitution
-from repro.negotiation.engine import EvalContext, RemoteCall, drain_steps
+from repro.negotiation.engine import EvalContext, RemoteCall, collect_solutions
 from repro.negotiation.session import (
     TABLE_ACTIVE,
     TABLE_COMPLETE,
@@ -145,10 +145,11 @@ class Peer:
         # Simulated clock for credential validity checks; None = wall time.
         self.clock: Optional[float] = None
         self.query_filter: Optional[Callable[[Literal, str], bool]] = None
-        # Extension point: callables (goal, requester, session) -> list of
-        # AnswerItem, consulted after the built-in derivation paths.  Used
-        # by content-triggered policy registries ('all' combining mode).
-        self.query_hooks: list[Callable[[Literal, str, Session], list]] = []
+        # Extension point: step generators (goal, requester, session) whose
+        # return value is a list of AnswerItem, consulted after the built-in
+        # derivation paths.  Used by content-triggered policy registries
+        # ('all' combining mode).
+        self.query_hooks: list[Callable[[Literal, str, Session], Iterator]] = []
         self.transport = None  # set by Transport.register
         if program:
             self.load_program(program)
@@ -245,16 +246,25 @@ class Peer:
     # -- message handling ------------------------------------------------------------
 
     def handle(self, message: Message) -> Optional[Message]:
+        """Process one inbound message synchronously: :meth:`handle_steps`
+        run on the transport's event loop until idle."""
+        from repro.runtime.scheduler import run_steps
+
+        return run_steps(self.transport, self.handle_steps(message))
+
+    def handle_steps(self, message: Message):
+        """Process one inbound message as a step generator (remote
+        sub-queries suspend); returns the reply, or ``None`` for one-way
+        messages.  Replies to this peer's own requests never arrive here:
+        the runtime routes them to the waiting continuation."""
         if isinstance(message, QueryMessage):
-            return self._handle_query(message)
+            return (yield from self.answer_query_steps(message))
+        if isinstance(message, PolicyRequestMessage):
+            return (yield from self._policy_request_steps(message))
         if isinstance(message, DisclosureMessage):
             return self._handle_disclosure(message)
-        if isinstance(message, PolicyRequestMessage):
-            return self._handle_policy_request(message)
         if isinstance(message, TableCompleteMessage):
             return self._handle_table_complete(message)
-        if isinstance(message, (AnswerMessage, PolicyMessage)):
-            return None  # replies are consumed inline by request()
         return None
 
     # -- query answering ------------------------------------------------------------------
@@ -263,20 +273,15 @@ class Peer:
         return self.transport.sessions.get_or_create(
             session_id, initiator, self.max_nesting)
 
-    def _handle_query(self, message: QueryMessage) -> AnswerMessage:
-        return drain_steps(self.answer_query_steps(message, suspendable=False))
-
-    def answer_query_steps(self, message: QueryMessage, suspendable: bool = False):
-        """Answer a query as a *step generator*: with ``suspendable=True``
-        every remote sub-query yields a :class:`Suspension` for the event
-        scheduler to satisfy; with ``suspendable=False`` the same code runs
-        remote calls inline and never yields.  The generator's return value
-        is the :class:`AnswerMessage`."""
+    def answer_query_steps(self, message: QueryMessage):
+        """Answer a query as a *step generator*: every remote sub-query
+        yields a :class:`Suspension` for the event scheduler to satisfy.
+        The generator's return value is the :class:`AnswerMessage`."""
         if _trace.ACTIVE is None:
-            return self._answer_query_steps_impl(message, suspendable)
-        return self._traced_answer_steps(message, suspendable, _trace.ACTIVE)
+            return self._answer_query_steps_impl(message)
+        return self._traced_answer_steps(message, _trace.ACTIVE)
 
-    def _traced_answer_steps(self, message: QueryMessage, suspendable: bool,
+    def _traced_answer_steps(self, message: QueryMessage,
                              tracer) -> "Iterable":
         """Wrap the answer generator in a ``peer.answer`` span.  The span is
         current only while the impl actually executes — each yielded
@@ -285,7 +290,7 @@ class Peer:
             "peer.answer", peer=self.name, requester=message.sender,
             goal=str(message.goal),
             session=tracer.alias("session", message.session_id))
-        steps = self._answer_query_steps_impl(message, suspendable)
+        steps = self._answer_query_steps_impl(message)
         outcome = None
         try:
             while True:
@@ -302,8 +307,7 @@ class Peer:
         finally:
             tracer.end(span)
 
-    def _answer_query_steps_impl(self, message: QueryMessage,
-                                 suspendable: bool = False):
+    def _answer_query_steps_impl(self, message: QueryMessage):
         session = self._session(message.session_id, message.sender)
         requester = message.sender
         failure = AnswerMessage(
@@ -322,7 +326,7 @@ class Peer:
 
         if self._gem_tabling():
             reply = yield from self._answer_query_gem_steps(
-                message, session, requester, suspendable)
+                message, session, requester)
             return reply
 
         session.depth += 1
@@ -334,24 +338,12 @@ class Peer:
                 kb=self.kb,
                 stores=[self.credentials, session.received_for(self.name)],
                 allow_remote=True,
-                suspendable=suspendable,
             )
             # A ground goal is a yes/no question: one proof settles it.
             # Open goals enumerate up to max_answers distinct solutions.
             limit = 1 if message.goal.is_ground() else self.max_answers
-            solutions: list[Solution] = []
-            source = context.iter_query_goal(message.goal, max_solutions=limit)
-            outcome = None
-            while True:
-                try:
-                    item = source.send(outcome)
-                except StopIteration:
-                    break
-                outcome = None
-                if isinstance(item, Suspension):
-                    outcome = yield item
-                    continue
-                solutions.append(item)
+            solutions: list[Solution] = yield from collect_solutions(
+                context.iter_query_goal(message.goal, max_solutions=limit))
         except TransientNetworkError as error:
             # Graceful degradation: a provider that cannot reach a third
             # party answers "no" for this query rather than propagating the
@@ -367,20 +359,20 @@ class Peer:
         answered_keys: set[tuple] = set()
         for solution in solutions:
             item = yield from self._build_answer_item_steps(
-                message.goal, solution, requester, session, suspendable)
+                message.goal, solution, requester, session)
             if item is not None:
                 items.append(item)
                 if item.answered_literal is not None:
                     answered_keys.add(canonical_literal(item.answered_literal))
 
         yield from self._grants_and_hooks_steps(
-            message.goal, requester, session, items, answered_keys, suspendable)
+            message.goal, requester, session, items, answered_keys)
 
         return self._final_answer(message, session, requester, items)
 
     def _grants_and_hooks_steps(self, goal: Literal, requester: str,
                                 session: Session, items: list,
-                                answered_keys: set, suspendable: bool):
+                                answered_keys: set):
         """Append ``$``-policy grants and query-hook items to ``items``
         (shared tail of the inflight and gem answer paths).
 
@@ -388,7 +380,7 @@ class Peer:
         ``$`` rule (the paper's freeEnroll, §3.1) — access is granted when
         the guard and body are provable, with no separate content rule."""
         grants = yield from self._release_policy_grants_steps(
-            goal, requester, session, True, suspendable)
+            goal, requester, session, True)
         for item in grants:
             key = (canonical_literal(item.answered_literal)
                    if item.answered_literal is not None else None)
@@ -400,7 +392,8 @@ class Peer:
                 break
 
         for hook in self.query_hooks:
-            for item in hook(goal, requester, session):
+            hook_items = yield from hook(goal, requester, session)
+            for item in hook_items:
                 key = (canonical_literal(item.answered_literal)
                        if item.answered_literal is not None else None)
                 if key in answered_keys:
@@ -440,7 +433,7 @@ class Peer:
         return node.order
 
     def _answer_query_gem_steps(self, message: QueryMessage, session: Session,
-                                requester: str, suspendable: bool):
+                                requester: str):
         """Answer a query through the goal-table registry instead of
         evaluating unconditionally:
 
@@ -465,9 +458,9 @@ class Peer:
             _TABLING_EVENTS.labels("table_hits").inc()
             session.log("table-serve", self.name, requester, str(goal))
             items, answered_keys = yield from self._table_items_steps(
-                node, goal, requester, session, suspendable)
+                node, goal, requester, session)
             yield from self._grants_and_hooks_steps(
-                goal, requester, session, items, answered_keys, suspendable)
+                goal, requester, session, items, answered_keys)
             return self._final_answer(message, session, requester, items)
 
         if node is not None and node.status == TABLE_ACTIVE:
@@ -479,7 +472,7 @@ class Peer:
             session.log("table-join", self.name, requester,
                         f"{goal} ({len(node.answers)} answer(s) so far)")
             items, _ = yield from self._table_items_steps(
-                node, goal, requester, session, suspendable)
+                node, goal, requester, session)
             return TableAnswerMessage(
                 sender=self.name, receiver=requester, session_id=session.id,
                 query_id=message.message_id,
@@ -490,14 +483,14 @@ class Peer:
         node = session.activate_table(self.name, goal_key)
         _TABLING_EVENTS.labels("activations").inc()
         yield from self._table_pass_steps(
-            node, message, session, requester, suspendable)
+            node, message, session, requester)
 
         if node.min_dep is not None and node.min_dep < node.order:
             # SCC member but not its leader: stay tentative and hand the
             # floor upward; the leader's fixpoint will re-query us.
             node.status = TABLE_TENTATIVE
             items, _ = yield from self._table_items_steps(
-                node, goal, requester, session, suspendable)
+                node, goal, requester, session)
             return TableAnswerMessage(
                 sender=self.name, receiver=requester, session_id=session.id,
                 query_id=message.message_id,
@@ -507,24 +500,23 @@ class Peer:
         if node.min_dep is not None:
             # The cycle's floor is this very goal: we lead the SCC.
             yield from self._table_fixpoint_steps(
-                node, message, session, requester, suspendable)
+                node, message, session, requester)
             node.status = TABLE_COMPLETE
             session.counters["tables_completed"] += 1
             yield from self._notify_table_complete_steps(
-                node, session, suspendable)
+                node, session)
         else:
             node.status = TABLE_COMPLETE
             session.counters["tables_completed"] += 1
         _TABLING_EVENTS.labels("completions").inc()
         items, answered_keys = yield from self._table_items_steps(
-            node, goal, requester, session, suspendable)
+            node, goal, requester, session)
         yield from self._grants_and_hooks_steps(
-            goal, requester, session, items, answered_keys, suspendable)
+            goal, requester, session, items, answered_keys)
         return self._final_answer(message, session, requester, items)
 
     def _table_pass_steps(self, node: TableNode, message: QueryMessage,
-                          session: Session, requester: str,
-                          suspendable: bool):
+                          session: Session, requester: str):
         """One evaluation pass over the table's goal.  Solutions fold into
         the table *as they stream* — a cyclic sub-query arriving mid-pass
         sees every answer derived before the cycle closed — and incomplete
@@ -549,7 +541,6 @@ class Peer:
                 kb=self.kb,
                 stores=[self.credentials, session.received_for(self.name)],
                 allow_remote=True,
-                suspendable=suspendable,
             )
             context.table_node = node
             limit = 1 if message.goal.is_ground() else self.max_answers
@@ -581,8 +572,7 @@ class Peer:
                            floor=self._table_floor(node))
 
     def _table_items_steps(self, node: TableNode, goal: Literal,
-                           requester: str, session: Session,
-                           suspendable: bool):
+                           requester: str, session: Session):
         """Build the wire items for ``requester`` from the table's stored
         solutions.  Release/sticky checks (and therefore disclosure sets)
         are per-requester, so built items cache under the requester; the
@@ -601,7 +591,7 @@ class Peer:
             cached = cache.get(answer_key)
             if cached is None:
                 built = yield from self._build_answer_item_steps(
-                    goal, solution, requester, session, suspendable,
+                    goal, solution, requester, session,
                     answered=answered)
                 cached = cache[answer_key] = (
                     built if built is not None else False)
@@ -617,8 +607,7 @@ class Peer:
         return items, answered_keys
 
     def _table_fixpoint_steps(self, node: TableNode, message: QueryMessage,
-                              session: Session, requester: str,
-                              suspendable: bool):
+                              session: Session, requester: str):
         """Leader-side termination: re-run evaluation passes (fresh query
         ids, so nothing dedups against earlier rounds) until a pass neither
         adds an answer here nor consumes a growing table anywhere in the
@@ -638,7 +627,7 @@ class Peer:
                 session.counters["table_fixpoint_rounds"] += 1
                 _TABLING_EVENTS.labels("fixpoint_rounds").inc()
                 yield from self._table_pass_steps(
-                    node, message, session, requester, suspendable)
+                    node, message, session, requester)
                 if not node.grew:
                     break
             else:
@@ -649,8 +638,7 @@ class Peer:
             if span is not None:
                 tracer.end(span, rounds=rounds, answers=len(node.answers))
 
-    def _notify_table_complete_steps(self, node: TableNode, session: Session,
-                                     suspendable: bool):
+    def _notify_table_complete_steps(self, node: TableNode, session: Session):
         """Broadcast SCC completion: promote our own tentative tables at or
         above the leader's order, then send each other member owner one
         ``TableComplete``.  A lost notification degrades soundly — the
@@ -674,13 +662,10 @@ class Peer:
                         f"complete >= order {node.order}")
             _TABLING_EVENTS.labels("completions_sent").inc()
             try:
-                if suspendable:
-                    outcome = yield TableSuspension(
-                        RemoteCall(notice, session))
-                    if isinstance(outcome, BaseException):
-                        raise outcome
-                else:
-                    self.transport.send(notice)
+                outcome = yield Suspension(
+                    RemoteCall(notice, session, one_way=True))
+                if isinstance(outcome, BaseException):
+                    raise outcome
             except (TransientNetworkError, MessageTooLargeError,
                     SignatureError, PeerUnavailableError) as error:
                 session.counters["table_complete_lost"] += 1
@@ -702,11 +687,10 @@ class Peer:
         solution: Solution,
         requester: str,
         session: Session,
-        suspendable: bool = False,
         answered: Optional[Literal] = None,
     ):
         """Step-generator form of answer-item construction; release and
-        sticky obligations may trigger (suspendable) counter-queries.
+        sticky obligations may trigger counter-queries, which suspend.
         Returns the :class:`AnswerItem`, or ``None`` when withheld.
 
         ``answered`` overrides the derived literal when serving from a goal
@@ -716,7 +700,7 @@ class Peer:
             answered = goal.apply(solution.subst)
 
         allowed = yield from self._answer_releasable_steps(
-            answered, solution, requester, session, suspendable)
+            answered, solution, requester, session)
         if not allowed:
             session.log("release-denied", self.name, requester, str(answered))
             return None
@@ -737,7 +721,7 @@ class Peer:
                 obligations = bind_pseudovars_in_goals(
                     inherited_guard, requester, self.name)
                 proved = yield from self._prove_obligations_steps(
-                    obligations, requester, session, suspendable)
+                    obligations, requester, session)
                 if not proved:
                     session.log("sticky-denied", self.name, requester,
                                 str(answered))
@@ -756,7 +740,7 @@ class Peer:
                     obligations = sticky_obligations(
                         credential, requester, self.name)
                     proved = yield from self._prove_obligations_steps(
-                        obligations or (), requester, session, suspendable)
+                        obligations or (), requester, session)
                     if not proved:
                         session.log("sticky-denied", self.name, requester,
                                     f"credential {credential.rule.head}")
@@ -764,7 +748,7 @@ class Peer:
                 disclosed.append(credential)
                 continue
             releasable = yield from self._credential_releasable_steps(
-                credential, requester, session, suspendable)
+                credential, requester, session)
             if not releasable:
                 # Disclose-what-you-may: the answer still goes out (it passed
                 # its own release check); the withheld credential just makes
@@ -810,23 +794,12 @@ class Peer:
             answer_credential_ref=answer_ref,
         )
 
-    def _release_policy_grants(
-        self,
-        goal: Literal,
-        requester: str,
-        session: Session,
-        allow_remote: bool = True,
-    ) -> list[AnswerItem]:
-        return drain_steps(self._release_policy_grants_steps(
-            goal, requester, session, allow_remote, suspendable=False))
-
     def _release_policy_grants_steps(
         self,
         goal: Literal,
         requester: str,
         session: Session,
         allow_remote: bool = True,
-        suspendable: bool = False,
     ):
         """Grant access through a pure ``$`` resource policy: prove the
         guard and body with Requester bound, and answer with the resulting
@@ -850,23 +823,10 @@ class Peer:
                 stores=[self.credentials, session.received_for(self.name)],
                 allow_remote=allow_remote,
                 drop_peers=frozenset() if allow_remote else frozenset({requester}),
-                suspendable=suspendable,
             )
             session.counters["release_checks"] += 1
-            solutions: list[Solution] = []
-            source = context.engine.iter_query(
-                obligations, subst=subst, max_solutions=self.max_answers)
-            outcome = None
-            while True:
-                try:
-                    step = source.send(outcome)
-                except StopIteration:
-                    break
-                outcome = None
-                if isinstance(step, Suspension):
-                    outcome = yield step
-                    continue
-                solutions.append(step)
+            solutions = yield from collect_solutions(context.engine.iter_query(
+                obligations, subst=subst, max_solutions=self.max_answers))
             for solution in solutions:
                 answered = bound_goal.apply(solution.subst)
                 # Sticky propagation also applies to $-policy grants: a
@@ -883,7 +843,7 @@ class Peer:
                         sticky_goals = bind_pseudovars_in_goals(
                             inherited, requester, self.name)
                         proved = yield from self._prove_obligations_steps(
-                            sticky_goals, requester, session, suspendable)
+                            sticky_goals, requester, session)
                         if not proved:
                             session.log("sticky-denied", self.name, requester,
                                         str(answered))
@@ -931,21 +891,11 @@ class Peer:
                     return policy.guard or ()
         return ()
 
-    def _prove_obligations(
-        self,
-        goals: tuple[Literal, ...],
-        requester: str,
-        session: Session,
-    ) -> bool:
-        return drain_steps(self._prove_obligations_steps(
-            goals, requester, session, suspendable=False))
-
     def _prove_obligations_steps(
         self,
         goals: tuple[Literal, ...],
         requester: str,
         session: Session,
-        suspendable: bool = False,
     ):
         if not goals:
             return True
@@ -956,7 +906,6 @@ class Peer:
             kb=self.kb,
             stores=[self.credentials, session.received_for(self.name)],
             allow_remote=True,
-            suspendable=suspendable,
         )
         session.counters["release_checks"] += 1
         solution = yield from context.prove_steps(goals)
@@ -972,23 +921,12 @@ class Peer:
                          requester=requester, subject=subject,
                          allowed=allowed, detail=detail)
 
-    def _answer_releasable(
-        self,
-        answered: Literal,
-        solution: Solution,
-        requester: str,
-        session: Session,
-    ) -> bool:
-        return drain_steps(self._answer_releasable_steps(
-            answered, solution, requester, session, suspendable=False))
-
     def _answer_releasable_steps(
         self,
         answered: Literal,
         solution: Solution,
         requester: str,
         session: Session,
-        suspendable: bool = False,
     ):
         if requester == self.name:
             return True
@@ -1007,7 +945,7 @@ class Peer:
         for candidate in candidates:
             for decision in release_obligations(self.kb, candidate, requester, self.name):
                 proved = yield from self._prove_obligations_steps(
-                    decision.goals, requester, session, suspendable)
+                    decision.goals, requester, session)
                 if proved:
                     allowed = True
                     break
@@ -1019,34 +957,24 @@ class Peer:
                 # An answer whose proof is a single credential reveals no
                 # more than the credential itself: its release policy governs.
                 allowed = yield from self._credential_releasable_steps(
-                    top.credential, requester, session, suspendable)
+                    top.credential, requester, session)
             elif top.rule is not None:
                 # Fall back to the rule context of the top-level clause used:
                 # conclusions of a public rule (<-{true}) are shareable.
                 obligations = rule_shipping_obligations(top.rule, requester, self.name)
                 if obligations is not None:
                     allowed = yield from self._prove_obligations_steps(
-                        obligations, requester, session, suspendable)
+                        obligations, requester, session)
         session.cache_release(cache_key, allowed)
         self._note_release_decision("answer", requester, allowed,
                                     str(answered))
         return allowed
-
-    def _credential_releasable(
-        self,
-        credential: Credential,
-        requester: str,
-        session: Session,
-    ) -> bool:
-        return drain_steps(self._credential_releasable_steps(
-            credential, requester, session, suspendable=False))
 
     def _credential_releasable_steps(
         self,
         credential: Credential,
         requester: str,
         session: Session,
-        suspendable: bool = False,
     ):
         if requester == self.name:
             return True
@@ -1058,7 +986,7 @@ class Peer:
         for decision in credential_release_decisions(
                 self.kb, credential, requester, self.name):
             proved = yield from self._prove_obligations_steps(
-                decision.goals, requester, session, suspendable)
+                decision.goals, requester, session)
             if proved:
                 allowed = True
                 break
@@ -1090,7 +1018,7 @@ class Peer:
 
     # -- UniPro policy disclosure ------------------------------------------------------------
 
-    def _handle_policy_request(self, message: PolicyRequestMessage) -> PolicyMessage:
+    def _policy_request_steps(self, message: PolicyRequestMessage):
         session = self._session(message.session_id, message.sender)
         refused = PolicyMessage(
             sender=self.name, receiver=message.sender,
@@ -1105,7 +1033,9 @@ class Peer:
             session.log("policy-refuse", self.name, message.sender,
                         f"{message.policy_name} (undisclosable)")
             return refused
-        if not self._prove_obligations(policy.protection, message.sender, session):
+        proved = yield from self._prove_obligations_steps(
+            policy.protection, message.sender, session)
+        if not proved:
             session.log("policy-refuse", self.name, message.sender,
                         f"{message.policy_name} (protection unsatisfied)")
             return refused

@@ -120,11 +120,9 @@ def parsimonious_negotiate(
     deadline_ms: Optional[float] = None,
 ) -> NegotiationResult:
     """Send the goal to the provider and let release policies drive the
-    bilateral exchange.  Since the event-driven runtime landed this is a
-    facade: the negotiation runs on the transport's event scheduler (remote
-    sub-queries suspend and resume as events) and the loop is pumped to
-    quiescence before returning — observable behaviour, message traffic, and
-    simulated-clock totals are identical to the old inline recursion."""
+    bilateral exchange.  The negotiation runs on the transport's event
+    scheduler (remote sub-queries suspend and resume as events) and the
+    loop is pumped to quiescence before returning."""
     from repro.runtime import run_negotiation
 
     return run_negotiation(requester, provider_name, goal,
@@ -196,7 +194,17 @@ def _provider_grants(
     drop_peers: frozenset[str] | None = None,
 ):
     """Offline grant check: can the provider derive the goal and release the
-    answer using only local knowledge + received credentials?"""
+    answer using only local knowledge + received credentials?  Release
+    obligations may still query other peers, so the check runs on the
+    transport's event loop."""
+    from repro.runtime.scheduler import run_steps
+
+    return run_steps(provider.transport, _provider_grants_steps(
+        provider, requester_name, goal, session, drop_peers))
+
+
+def _provider_grants_steps(provider: Peer, requester_name: str, goal: Literal,
+                           session, drop_peers: frozenset[str] | None):
     context = EvalContext(
         peer=provider,
         session=session,
@@ -210,11 +218,13 @@ def _provider_grants(
     solutions = context.query_goal(goal, max_solutions=provider.max_answers)
     for solution in solutions:
         answered = goal.apply(solution.subst)
-        if provider._answer_releasable(answered, solution, requester_name, session):
+        releasable = yield from provider._answer_releasable_steps(
+            answered, solution, requester_name, session)
+        if releasable:
             return answered, solution
     # Pure resource policies (`$`-only predicates): grant through the
     # release-policy path, offline.
-    grants = provider._release_policy_grants(
+    grants = yield from provider._release_policy_grants_steps(
         goal, requester_name, session, allow_remote=False)
     if grants and grants[0].answered_literal is not None:
         return grants[0].answered_literal, None

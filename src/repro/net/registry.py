@@ -3,7 +3,9 @@
 Maps peer names to live peer objects.  The only contract a registered peer
 must satisfy is the :class:`MessageHandler` protocol — a ``handle(message)``
 method returning an optional reply — so the transport stays decoupled from
-the negotiation package.
+the negotiation package.  A peer may also offer ``handle_steps(message)``,
+the same work as a step generator; the event runtime prefers it, so the
+peer's own remote sub-queries suspend instead of blocking.
 """
 
 from __future__ import annotations

@@ -1,29 +1,32 @@
-"""Synchronous in-memory transport with latency modelling, metrics, and
-fault tolerance.
+"""In-memory transport: the network model under the event runtime.
 
-Negotiations in this reproduction run as nested request/response calls —
-the natural shape for a backward-chaining metainterpreter — so the
-transport's job is delivery, accounting, and surviving an imperfect
-network:
+Every message travels as an :class:`repro.runtime.scheduler.Exchange` on the
+transport's event scheduler; this module supplies what that exchange runs
+on:
 
 - **metrics**: message and byte counts, per-link and per-kind breakdowns,
-  and a simulated clock advanced by a pluggable :class:`LatencyModel`
-  (experiments report negotiation cost in messages/bytes/simulated-ms,
-  independent of host speed);
+  and a simulated clock advanced by the scheduler as events fall due, with
+  per-message latency from a pluggable :class:`LatencyModel` (experiments
+  report negotiation cost in messages/bytes/simulated-ms, independent of
+  host speed);
 - **limits**: an optional maximum message size
   (:class:`repro.errors.MessageTooLargeError`) and per-session deadlines
-  (a simulated-ms budget; exhaustion raises
+  (a simulated-ms budget; exhaustion fails with
   :class:`repro.errors.DeadlineExceeded`, which negotiation drivers convert
   into a clean failure outcome);
 - **fault injection**: a seeded :class:`repro.net.faults.FaultPlan`
   (drop / duplicate / corrupt / delay / crash windows) plus the legacy
-  ``drop`` predicate; lost messages surface as
-  :class:`repro.errors.TransientNetworkError`;
-- **resilience**: an optional :class:`RetryPolicy` retries transient
-  failures with exponential backoff + jitter *charged to the simulated
-  clock*; message ids double as idempotency keys, and a receiver-side reply
-  cache dedupes redelivery (a retried or duplicated request returns the
-  cached reply instead of re-executing the handler).
+  ``drop`` predicate, evaluated per transmission by
+  :meth:`Transport.begin_transmission`;
+- **resilience state**: an optional :class:`RetryPolicy` (exponential
+  backoff + jitter charged to the simulated clock) and the receiver-side
+  dedup ledgers — message ids double as idempotency keys, so a retried or
+  duplicated request is answered from the reply cache instead of
+  re-executing the handler.
+
+:meth:`Transport.request` and :meth:`Transport.send` are synchronous
+conveniences for top-level callers: each runs one exchange on the event
+loop until it is idle.
 """
 
 from __future__ import annotations
@@ -34,14 +37,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import (
-    DeadlineExceeded,
     MessageTooLargeError,
-    NetworkError,
     PeerUnavailableError,
-    SignatureError,
     TransientNetworkError,
 )
-from repro.net.faults import FaultDecision, FaultPlan, tamper_message
+from repro.net.faults import FaultDecision, FaultPlan
 from repro.net.message import Message
 from repro.net.registry import PeerRegistry
 from repro.obs import metrics as _metrics
@@ -109,11 +109,11 @@ class TransmissionOutcome:
     the transmission's total simulated delay (injected delay + link
     latency), and the delivery error, if the message was lost in transit.
     The event scheduler turns ``delay_ms`` into the due-time of the delivery
-    (or retry) event instead of advancing the clock inline."""
+    (or retry) event."""
 
     decision: Optional[FaultDecision]
     delay_ms: float
-    error: Optional[NetworkError] = None
+    error: Optional[TransientNetworkError] = None
 
 
 @dataclass
@@ -129,7 +129,7 @@ class TransportStats:
     by_kind: Counter = field(default_factory=Counter)
     bytes_by_kind: Counter = field(default_factory=Counter)
     by_link: dict[tuple[str, str], int] = field(default_factory=lambda: defaultdict(int))
-    # Event-scheduler accounting (zero under the inline synchronous path).
+    # Event-scheduler accounting.
     max_queue_depth: int = 0
     events_processed: int = 0
 
@@ -157,12 +157,10 @@ class TransportStats:
 
 
 class Transport:
-    """Delivers messages between registered peers, synchronously.
-
-    ``request`` performs an RPC-style exchange: the receiver's ``handle``
-    runs inline and its reply (if any) is accounted and returned.  One-way
-    traffic uses ``send``.  Both retry transient failures under ``retry``
-    and consult ``faults`` for injected chaos.
+    """The network between registered peers: registry, latency model,
+    fault plan, retry policy, accounting, simulated clock, session table
+    and dedup ledgers.  Messages move on :attr:`scheduler` (attached on
+    first use by :func:`repro.runtime.scheduler.scheduler_for`).
     """
 
     def __init__(
@@ -186,8 +184,7 @@ class Transport:
         self.retry = retry
         self.retain_sessions = retain_sessions
         # Scatter-gather width: how many remote sub-queries one evaluation
-        # may keep in flight concurrently (event mode only; 1 = strictly
-        # sequential, byte-identical to the pre-gather behaviour).
+        # may keep in flight concurrently (1 = strictly sequential).
         self.max_in_flight = max_in_flight
         # Per-session disclosure deltas: repeat credentials travel as
         # CredentialRef hashes resolved from the receiver's session cache.
@@ -263,27 +260,6 @@ class Transport:
             session.persistence = None
         return stores
 
-    # -- clock and deadlines --------------------------------------------------------
-
-    def _advance(self, milliseconds: float) -> None:
-        self.now_ms += milliseconds
-
-    def _charge_backoff(self, milliseconds: float) -> None:
-        self.stats.simulated_ms += milliseconds
-        self._advance(milliseconds)
-
-    def _session_for(self, message: Message):
-        return self.sessions.get(message.session_id)
-
-    def _check_deadline(self, message: Message) -> None:
-        session = self._session_for(message)
-        if session is not None and session.deadline_expired(self.now_ms):
-            session.note_deadline(self.now_ms)
-            raise DeadlineExceeded(
-                f"session {session.id!r} exceeded its deadline of "
-                f"{session.deadline_at_ms:.1f} simulated ms "
-                f"(clock now {self.now_ms:.1f})")
-
     # -- fault-aware single transmission ----------------------------------------------
 
     def _note_transmission(self, message: Message, size: int,
@@ -312,52 +288,15 @@ class Transport:
                          receiver=message.receiver,
                          msg=tracer.alias("msg", message.message_id))
 
-    def _transmit(self, message: Message) -> Optional[FaultDecision]:
-        """Account one transmission of ``message`` and apply the fault plan.
-        Raises on size violation, crash, drop, or (caller-side) corruption
-        of an untamperable payload; returns the fault decision otherwise."""
-        size = message.wire_size()
-        if self.max_message_bytes is not None and size > self.max_message_bytes:
-            raise MessageTooLargeError(
-                f"{message.kind} of {size} bytes exceeds limit "
-                f"{self.max_message_bytes}")
-        if not self.registry.is_up(message.receiver):
-            self.stats.dropped += 1
-            raise PeerUnavailableError(
-                f"peer {message.receiver!r} is down")
-        decision = (self.faults.decide(message, self.now_ms)
-                    if self.faults is not None else None)
-        if decision is not None and decision.extra_delay_ms:
-            self.stats.simulated_ms += decision.extra_delay_ms
-            self._advance(decision.extra_delay_ms)
-        # The message consumes bandwidth and time even when it is then lost.
-        latency = self.latency(message.sender, message.receiver, size)
-        self.stats.record(message, size, latency)
-        self._note_transmission(message, size, latency)
-        self._advance(latency)
-        if decision is not None and decision.crashed:
-            self.stats.dropped += 1
-            self._note_fault("transport.crash", message)
-            raise PeerUnavailableError(
-                f"{message.kind} lost: a crash window covers the "
-                f"{message.sender!r}->{message.receiver!r} link")
-        if (decision is not None and decision.drop) or (
-                self.drop is not None and self.drop(message)):
-            self.stats.dropped += 1
-            self._note_fault("transport.drop", message)
-            raise TransientNetworkError(
-                f"{message.kind} from {message.sender!r} to "
-                f"{message.receiver!r} was dropped")
-        return decision
-
     def begin_transmission(self, message: Message) -> "TransmissionOutcome":
-        """Event-mode counterpart of :meth:`_transmit`: perform the same
-        accounting and fault evaluation, but report the transmission's total
-        delay instead of advancing ``now_ms`` — the scheduler charges time by
-        dispatching the delivery event at ``now_ms + delay_ms``.  Losses are
-        *returned* (as ``outcome.error``) rather than raised so the caller
-        can schedule the retry/backoff as a future event; only the size
-        check — which precedes all accounting inline too — still raises."""
+        """Put one transmission of ``message`` on the wire: account it,
+        evaluate the fault plan, and report its total delay — the scheduler
+        charges time by dispatching the delivery event at
+        ``now_ms + delay_ms``.  A message lost in transit still consumed
+        bandwidth and time; the loss is *returned* (as ``outcome.error``,
+        always transient) so the caller can schedule the retry/backoff as a
+        future event.  Only the size check, which precedes all accounting,
+        raises."""
         size = message.wire_size()
         if self.max_message_bytes is not None and size > self.max_message_bytes:
             raise MessageTooLargeError(
@@ -392,136 +331,36 @@ class Transport:
                 f"{message.receiver!r} was dropped"))
         return TransmissionOutcome(decision, delay, None)
 
-    def _apply_corruption(self, message: Message) -> Message:
-        """Model in-transit payload damage: tamper a carried credential (the
-        receiver's verification then rejects it), or — with nothing to
-        tamper — fail deterministically at the checksum edge."""
-        self._note_fault("transport.corrupt", message)
-        damaged = tamper_message(message)
-        if damaged is None:
-            raise SignatureError(
-                f"{message.kind} from {message.sender!r} to "
-                f"{message.receiver!r} failed its payload checksum")
-        return damaged
-
-    # -- handler dispatch with idempotent dedup ---------------------------------------
-
-    def _count_for_session(self, message: Message, counter: str) -> None:
-        session = self._session_for(message)
-        if session is not None:
-            session.counters[counter] += 1
-
-    def _dispatch_request(self, message: Message) -> Message:
-        cache = self._reply_cache.setdefault(message.session_id, {})
-        key = message.dedup_key
-        cached = cache.get(key)
-        if cached is not None:
-            self.stats.duplicates_suppressed += 1
-            self._count_for_session(message, "duplicates_suppressed")
-            return cached
-        reply = self.registry.get(message.receiver).handle(message)
-        if reply is None:
-            raise NetworkError(
-                f"peer {message.receiver!r} returned no reply to "
-                f"{message.kind}")
-        self._cache_reply(message, reply)
-        return reply
+    # -- reply cache ------------------------------------------------------------------
 
     def _cache_reply(self, message: Message, reply: Message) -> None:
         """Record ``reply`` under the request's idempotency key — the single
-        write point for the reply cache (inline and event-mode paths), so a
-        bound state store sees every entry and replayed requests after a
-        receiver restart still dedup against the recovered cache."""
+        write point for the reply cache, so a bound state store sees every
+        entry and replayed requests after a receiver restart still dedup
+        against the recovered cache."""
         self._reply_cache.setdefault(message.session_id, {})[
             message.dedup_key] = reply
         if self._persistence is not None:
             self._persistence.reply_cached(message, reply)
 
-    def _dispatch_oneway(self, message: Message) -> None:
-        delivered = self._delivered_oneway.setdefault(message.session_id, set())
-        key = message.dedup_key
-        if key in delivered:
-            self.stats.duplicates_suppressed += 1
-            self._count_for_session(message, "duplicates_suppressed")
-            return
-        delivered.add(key)
-        self.registry.get(message.receiver).handle(message)
-
-    # -- delivery --------------------------------------------------------------------
-
-    def _with_retries(self, message: Message, attempt_once) -> Message:
-        """Run ``attempt_once`` under the retry policy: transient failures
-        back off (charged to the simulated clock) and retry with the *same*
-        message — its id is the idempotency key — until attempts run out."""
-        attempts = self.retry.max_attempts if self.retry is not None else 1
-        last_error: Optional[TransientNetworkError] = None
-        for attempt in range(1, attempts + 1):
-            if attempt > 1:
-                self._charge_backoff(
-                    self.retry.backoff_ms(attempt - 1, self._backoff_rng))
-                self.stats.retries += 1
-                self._count_for_session(message, "retries")
-                _FLIGHTREC.note(self.now_ms, message.session_id, "retry",
-                                message.sender, message.receiver,
-                                f"{message.kind} attempt {attempt}")
-                tracer = _trace.ACTIVE
-                if tracer is not None:
-                    tracer.event("transport.retry", kind=message.kind,
-                                 attempt=attempt,
-                                 msg=tracer.alias("msg", message.message_id))
-            self._check_deadline(message)
-            try:
-                return attempt_once()
-            except TransientNetworkError as error:
-                last_error = error
-        self._count_for_session(message, "gave_up")
-        assert last_error is not None
-        raise last_error
+    # -- synchronous conveniences -----------------------------------------------------
 
     def send(self, message: Message) -> None:
-        """One-way delivery; the receiver's reply (if any) is discarded."""
+        """One-way delivery, run on the event loop until idle; returns once
+        the receiver's handler ran (its reply, if any, is discarded) and
+        raises whatever ended the exchange."""
+        from repro.runtime.scheduler import Exchange, run_sync
 
-        def attempt_once() -> Message:
-            decision = self._transmit(message)
-            payload = message
-            if decision is not None and decision.corrupt:
-                payload = self._apply_corruption(message)
-            self._dispatch_oneway(payload)
-            if decision is not None and decision.duplicate:
-                # The network delivered a second copy: account it; the
-                # delivered-set suppresses re-execution.
-                self.stats.record(message, message.wire_size(), 0.0)
-                self._dispatch_oneway(payload)
-            return message
-
-        self._with_retries(message, attempt_once)
+        run_sync(self, lambda scheduler, done: Exchange(
+            scheduler, message, done, one_way=True).start())
 
     def request(self, message: Message) -> Message:
-        """RPC exchange: deliver, run the handler (once — redelivery hits
-        the reply cache), account and return the reply.  A handler returning
-        ``None`` is a protocol violation."""
+        """Request/reply exchange, run on the event loop until idle: the
+        reply, or the exception that ended the exchange, raised."""
+        from repro.runtime.scheduler import Exchange, run_sync
 
-        def attempt_once() -> Message:
-            request_decision = self._transmit(message)
-            if request_decision is not None and request_decision.corrupt:
-                # A damaged query cannot be meaningfully evaluated; the
-                # receiver's edge detects it.  Deterministic, so no retry.
-                self._apply_corruption(message)
-            reply = self._dispatch_request(message)
-            if request_decision is not None and request_decision.duplicate:
-                self.stats.record(message, message.wire_size(), 0.0)
-                self._dispatch_request(message)
-            reply_decision = self._transmit(reply)
-            if reply_decision is not None and reply_decision.corrupt:
-                reply_payload = self._apply_corruption(reply)
-                return reply_payload
-            if reply_decision is not None and reply_decision.duplicate:
-                self.stats.record(reply, reply.wire_size(), 0.0)
-                self.stats.duplicates_suppressed += 1
-                self._count_for_session(message, "duplicates_suppressed")
-            return reply
-
-        return self._with_retries(message, attempt_once)
+        return run_sync(self, lambda scheduler, done: Exchange(
+            scheduler, message, done).start())
 
     # -- session lifecycle --------------------------------------------------------------
 

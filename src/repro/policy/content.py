@@ -161,9 +161,11 @@ class ContentPolicyRegistry:
         self._installed_rules[policy.name] = rule
         self._peer.kb.add(rule)
 
-    def _all_mode_hook(self, goal: Literal, requester: str, session) -> list:
+    def _all_mode_hook(self, goal: Literal, requester: str, session):
         """Query hook for ``all`` combining: grant ``access(action, R, Req)``
-        only when the merged requirements of every covering policy hold."""
+        only when the merged requirements of every covering policy hold.
+        A step generator (proving may query other peers); returns the list
+        of answer items."""
         from repro.net.message import AnswerItem
         from repro.negotiation.engine import EvalContext
 
@@ -190,7 +192,8 @@ class ContentPolicyRegistry:
         )
         for goals in requirement_sets:  # single merged set in 'all' mode
             session.counters["release_checks"] += 1
-            if context.prove(goals) is None:
+            proof = yield from context.prove_steps(goals)
+            if proof is None:
                 return []
         answered = goal
         answer_credential = (peer.self_credential(answered)

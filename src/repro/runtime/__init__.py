@@ -1,12 +1,12 @@
-"""Event-driven negotiation runtime.
+"""The event-driven negotiation runtime — the only one.
 
-The discrete-event scheduler (:mod:`repro.runtime.scheduler`) replaces the
-transport's call-stack-recursive RPC with suspendable goal evaluation:
-remote sub-queries park the enclosing proof as an explicit continuation and
-resume when the answer event is delivered.  The drivers
-(:mod:`repro.runtime.negotiation`) expose a synchronous facade
-(:func:`run_negotiation`) that replays the inline path byte-for-byte, plus
-:func:`run_many` for deterministic interleaving of whole batches.
+The discrete-event scheduler (:mod:`repro.runtime.scheduler`) carries every
+message between peers: remote sub-queries park the enclosing proof as an
+explicit continuation and resume when the answer event is delivered.  The
+drivers (:mod:`repro.runtime.negotiation`) expose a synchronous facade
+(:func:`run_negotiation`) plus :func:`run_many` for deterministic
+interleaving of whole batches; :func:`run_sync` / :func:`run_steps` drive
+every other synchronous entry point.
 """
 
 from repro.runtime.negotiation import (
@@ -18,7 +18,9 @@ from repro.runtime.negotiation import (
 from repro.runtime.scheduler import (
     EvaluationTask,
     EventScheduler,
-    RequestExchange,
+    Exchange,
+    run_steps,
+    run_sync,
     scheduler_for,
 )
 
@@ -26,9 +28,11 @@ __all__ = [
     "ConcurrencyReport",
     "EvaluationTask",
     "EventScheduler",
+    "Exchange",
     "NegotiationSpec",
-    "RequestExchange",
     "run_many",
     "run_negotiation",
+    "run_steps",
+    "run_sync",
     "scheduler_for",
 ]

@@ -3,16 +3,13 @@
 :func:`run_negotiation` is the facade the strategy layer calls: it starts
 one parsimonious negotiation on the transport's event scheduler, pumps the
 loop to quiescence, and returns the familiar
-:class:`~repro.negotiation.result.NegotiationResult` — byte-identical (same
-messages, clock totals, counters, fault-plan draws) to what the old
-call-stack-recursive path produced, because for a single negotiation the
-event order *is* the depth-first order.
+:class:`~repro.negotiation.result.NegotiationResult`.
 
-:func:`run_many` is what the refactor buys: N negotiations interleaved on
-one scheduler under one simulated clock, deterministically (same seed +
-same specs ⇒ same event trace, via the scheduler's alias-labelled trace),
-with per-negotiation sim-clock spans and whole-batch wall/throughput
-figures for the concurrency experiment (E14).
+:func:`run_many` runs N negotiations interleaved on one scheduler under one
+simulated clock, deterministically (same seed + same specs ⇒ same event
+trace, via the scheduler's alias-labelled trace), with per-negotiation
+sim-clock spans and whole-batch wall/throughput figures for the concurrency
+experiment (E14).
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from repro.negotiation.result import NegotiationResult
 from repro.negotiation.session import next_session_id
 from repro.net.message import QueryMessage
 from repro.obs import trace as _trace
-from repro.runtime.scheduler import EventScheduler, RequestExchange, scheduler_for
+from repro.runtime.scheduler import EventScheduler, Exchange, scheduler_for
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,9 +58,8 @@ class ConcurrencyReport:
 
 
 class _NegotiationDriver:
-    """Event-mode replica of ``strategies.parsimonious_negotiate``: the
-    issue half runs when the driver starts, the absorb half after the
-    scheduler quiesces — identical logs, counters, and failure taxonomy."""
+    """One parsimonious negotiation: the opening query is issued when the
+    driver starts, its outcome absorbed after the scheduler quiesces."""
 
     def __init__(self, scheduler: EventScheduler, requester, provider_name: str,
                  goal: Literal, deadline_ms: Optional[float]) -> None:
@@ -96,7 +92,7 @@ class _NegotiationDriver:
                 requester=self.requester.name, provider=self.provider_name,
                 goal=str(self.goal),
                 session=tracer.alias("session", self.session.id))
-        exchange = RequestExchange(
+        exchange = Exchange(
             self.scheduler,
             QueryMessage(
                 sender=self.requester.name,
@@ -118,8 +114,7 @@ class _NegotiationDriver:
         self.done = True
 
     def absorb(self) -> NegotiationResult:
-        """Fold the exchange's outcome into a result — the verbatim absorb
-        block of the inline parsimonious driver."""
+        """Fold the opening exchange's outcome into a result."""
         from repro.negotiation.strategies import (
             _finish_session,
             _record_network_failure,
@@ -192,8 +187,7 @@ def run_negotiation(
     deadline_ms: Optional[float] = None,
 ) -> NegotiationResult:
     """Synchronous facade over the event loop: start one negotiation, pump
-    to quiescence, absorb.  Drop-in replacement for the inline parsimonious
-    driver."""
+    to quiescence, absorb."""
     transport = requester.transport
     if transport is None:
         raise RuntimeError(

@@ -1,30 +1,31 @@
-"""Discrete-event scheduler with suspendable goal evaluation.
+"""The negotiation runtime: a discrete-event scheduler and the one message
+exchange state machine.
 
-The inline transport runs a negotiation as call-stack recursion:
-``Transport._dispatch_request`` invokes ``peer.handle()`` inline, which
-re-enters the transport for counter-queries, so exactly one negotiation can
-be in flight and the simulated clock serialises everything.  This module
-replaces that with an explicit event loop (GEM-style distributed goal
-evaluation as a message/state machine):
+Every message between peers travels through this module (GEM-style
+distributed goal evaluation as a message/state machine):
 
 - :class:`EventScheduler` owns a heap of ``(due_ms, seq, label, action)``
   events ordered by **simulated** time.  Popping an event advances the
-  transport's clock to its due time; the computation between events is free,
-  exactly as the inline path charges latency/backoff but not CPU.
-- :class:`RequestExchange` is one request/reply RPC unrolled into events:
-  transmission, delivery, handler evaluation, reply transmission, retries
+  transport's clock to its due time; the computation between events is
+  free — latency, injected delay and retry backoff are charged, CPU is not.
+- :class:`Exchange` is one delivery unrolled into events: transmission,
+  delivery, handler evaluation, reply transmission (for a request), retries
   with backoff — each a scheduled event rather than a blocking loop.  It
-  reproduces the inline ``Transport.request`` semantics *exactly* (same
-  fault-plan RNG draws in the same order, same stats, same clock totals) so
-  the synchronous facade replays byte-identical negotiations.
-- :class:`EvaluationTask` drives a peer's suspendable
-  ``answer_query_steps`` generator: every :class:`~repro.datalog.sld.Suspension`
-  it yields parks the evaluation as a pending continuation
-  (:attr:`EventScheduler._pending`, keyed by the sub-query's message id)
-  and a nested :class:`RequestExchange` resumes it when the answer event
-  arrives — ``gen.send(reply)`` for success, ``gen.send(exception)``
-  (re-raised at the suspension point) for failure, so the engine's
-  existing error discipline applies unchanged.
+  is the only code that knows the retry, dedup, corruption and deadline
+  rules; :meth:`repro.net.transport.Transport.begin_transmission` models
+  the wire (accounting, latency, the fault plan's draws).
+- :class:`EvaluationTask` drives a step generator (a peer answering a
+  query, or any synchronous caller's evaluation): every
+  :class:`~repro.datalog.sld.Suspension` it yields parks the evaluation as
+  a pending continuation (:attr:`EventScheduler._pending`, keyed by the
+  sub-query's message id) and a nested :class:`Exchange` resumes it when
+  the answer event arrives — ``gen.send(reply)`` for success,
+  ``gen.send(exception)`` (re-raised at the suspension point) for failure,
+  so the engine's error discipline applies unchanged.
+- :func:`run_sync` / :func:`run_steps` are the one driver synchronous
+  callers share: start the work, pump the loop until idle, return the
+  outcome.  The loop cannot be re-entered from inside an event, so a
+  synchronous call there raises instead of moving the shared clock.
 
 An :class:`~repro.net.message.AnswerMessage` whose ``query_id`` matches no
 pending continuation — or one already resumed — raises
@@ -38,7 +39,7 @@ import heapq
 import itertools
 from typing import Callable, Optional
 
-from repro.datalog.sld import Suspension, TableSuspension
+from repro.datalog.sld import Suspension
 from repro.errors import (
     DeadlineExceeded,
     MessageTooLargeError,
@@ -48,7 +49,8 @@ from repro.errors import (
     TransientNetworkError,
     UnknownPeerError,
 )
-from repro.net.message import AnswerMessage, Message, QueryMessage
+from repro.net.faults import tamper_message
+from repro.net.message import AnswerMessage, Message
 from repro.obs import trace as _trace
 from repro.obs.flightrec import RECORDER as _FLIGHTREC
 
@@ -61,15 +63,17 @@ class EventScheduler:
         self.transport = transport
         self._events: list[tuple[float, int, str, Callable[[], None]]] = []
         self._seq = itertools.count(1)
-        # message_id of an in-flight request -> its RequestExchange; this is
-        # the continuation table: an AnswerMessage resumes the exchange whose
+        # message_id of an in-flight request -> its Exchange; this is the
+        # continuation table: an AnswerMessage resumes the exchange whose
         # request it answers.
-        self._pending: dict[int, "RequestExchange"] = {}
+        self._pending: dict[int, "Exchange"] = {}
         # Deterministic trace labels: global message/session counters differ
         # across processes, so labels use small per-run aliases instead.
         self._msg_alias: dict[int, int] = {}
         self._session_alias: dict[str, int] = {}
         self.trace: list[str] = []
+        # True while run_until_idle dispatches; the loop is not re-entrant.
+        self.running = False
 
     # -- deterministic labels -----------------------------------------------------
 
@@ -86,7 +90,12 @@ class EventScheduler:
     def begin_run(self) -> None:
         """Start a fresh traced run: clear the trace and alias maps (the
         event heap and continuation table are expected to be empty — a
-        previous run always pumps to quiescence)."""
+        previous run always pumps to quiescence).  Raises
+        :class:`RuntimeError` while a run is dispatching, before anything is
+        touched: a synchronous entry point called from inside an event would
+        otherwise pump other negotiations' events and move the shared clock
+        in the middle of that event."""
+        self._refuse_reentry()
         self.trace.clear()
         self._msg_alias.clear()
         self._session_alias.clear()
@@ -115,43 +124,56 @@ class EventScheduler:
         if depth > self.transport.stats.max_queue_depth:
             self.transport.stats.max_queue_depth = depth
 
+    def _refuse_reentry(self) -> None:
+        if self.running:
+            raise RuntimeError(
+                "the event loop is already dispatching: a synchronous entry "
+                "point (Transport.request/send, Peer.handle, ...) cannot run "
+                "inside an event — yield a Suspension instead")
+
     def run_until_idle(self, max_events: int = 2_000_000) -> int:
         """Pump events in due-time order until the heap drains.  Returns the
         number of events processed.  Actions run with the clock set to their
         due time; exceptions propagate (they indicate protocol violations or
         driver bugs, never modelled network weather — that travels through
-        continuations as values)."""
+        continuations as values).  Raises :class:`RuntimeError` if called
+        from inside a dispatched event."""
+        self._refuse_reentry()
+        self.running = True
         processed = 0
-        while self._events:
-            due, _seq, label, action, ctx = heapq.heappop(self._events)
-            if due > self.transport.now_ms:
-                self.transport.now_ms = due
-            self.transport.stats.events_processed += 1
-            processed += 1
-            self.trace.append(f"{due:.3f} {label}")
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                previous = tracer.set_current(ctx)
-                tracer.event("scheduler.dispatch", label=label,
-                             queue=len(self._events))
-                try:
+        try:
+            while self._events:
+                due, _seq, label, action, ctx = heapq.heappop(self._events)
+                if due > self.transport.now_ms:
+                    self.transport.now_ms = due
+                self.transport.stats.events_processed += 1
+                processed += 1
+                self.trace.append(f"{due:.3f} {label}")
+                tracer = _trace.ACTIVE
+                if tracer is not None:
+                    previous = tracer.set_current(ctx)
+                    tracer.event("scheduler.dispatch", label=label,
+                                 queue=len(self._events))
+                    try:
+                        action()
+                    finally:
+                        tracer.set_current(previous)
+                else:
                     action()
-                finally:
-                    tracer.set_current(previous)
-            else:
-                action()
-            if processed >= max_events:
-                raise RuntimeError(
-                    f"event loop exceeded {max_events} events without "
-                    "quiescing; likely a scheduling loop")
+                if processed >= max_events:
+                    raise RuntimeError(
+                        f"event loop exceeded {max_events} events without "
+                        "quiescing; likely a scheduling loop")
+        finally:
+            self.running = False
         return processed
 
     # -- continuation table -------------------------------------------------------
 
-    def register(self, exchange: "RequestExchange") -> None:
+    def register(self, exchange: "Exchange") -> None:
         self._pending[exchange.message.message_id] = exchange
 
-    def unregister(self, exchange: "RequestExchange") -> None:
+    def unregister(self, exchange: "Exchange") -> None:
         self._pending.pop(exchange.message.message_id, None)
 
     def deliver_answer(self, message: AnswerMessage) -> None:
@@ -171,7 +193,7 @@ class EventScheduler:
 def _under_span(method):
     """Run an exchange callback with the exchange's span as the current
     span, so spans begun inside it (peer evaluation) and events it schedules
-    parent under the RPC rather than under whatever event happened to
+    parent under the exchange rather than under whatever event happened to
     dispatch it."""
 
     def wrapper(self, *args):
@@ -187,18 +209,37 @@ def _under_span(method):
     return wrapper
 
 
-class RequestExchange:
-    """One RPC unrolled into events, mirroring ``Transport.request`` +
-    ``Transport._with_retries`` step for step.  ``on_outcome`` receives the
-    reply :class:`Message` on success or the exception instance the inline
-    path would have raised."""
+def _handler_steps(receiver, message: Message):
+    """The receiver's handler as a step generator: a peer's own
+    ``handle_steps`` (its remote sub-queries suspend), or — for any other
+    :class:`~repro.net.registry.MessageHandler` — one ``handle`` call that
+    completes without suspending."""
+    steps = getattr(receiver, "handle_steps", None)
+    if steps is not None:
+        return (yield from steps(message))
+    return receiver.handle(message)
+
+
+class Exchange:
+    """One message delivery unrolled into events — the only code that knows
+    the transmission, retry/backoff, dedup, corruption and deadline rules.
+
+    A *request* (the default) runs the receiver's handler and carries its
+    reply back: ``on_outcome`` receives the reply :class:`Message`, or the
+    exception that ended the exchange.  A *one-way* delivery
+    (``one_way=True``: GEM's ``TableComplete`` notices, eager disclosures)
+    discards any reply: ``on_outcome`` receives ``None`` once the handler
+    has run, or the exception.  Either way the sender waits for that
+    outcome, so a lost one-way message is reported like a lost request."""
 
     def __init__(self, scheduler: EventScheduler, message: Message,
-                 on_outcome: Callable[[object], None]) -> None:
+                 on_outcome: Callable[[object], None],
+                 one_way: bool = False) -> None:
         self.scheduler = scheduler
         self.transport = scheduler.transport
         self.message = message
         self.on_outcome = on_outcome
+        self.one_way = one_way
         self.attempt = 0
         self.completed = False
         self.span = None
@@ -211,12 +252,20 @@ class RequestExchange:
         tracer = _trace.ACTIVE
         if tracer is not None:
             self.span = tracer.begin(
-                "rpc", kind=self.message.kind,
+                "table-notify" if self.one_way else "rpc",
+                kind=self.message.kind,
                 sender=self.message.sender, receiver=self.message.receiver,
                 msg=tracer.alias("msg", self.message.message_id),
                 session=tracer.alias("session", self.message.session_id))
-        self.scheduler.register(self)
+        if not self.one_way:
+            # Only a request has an answer to route back to it.
+            self.scheduler.register(self)
         self._attempt_action()
+
+    def _count(self, counter: str) -> None:
+        session = self.transport.sessions.get(self.message.session_id)
+        if session is not None:
+            session.counters[counter] += 1
 
     @_under_span
     def _attempt_action(self) -> None:
@@ -224,13 +273,17 @@ class RequestExchange:
         time already includes the failed transmission's delay + backoff)."""
         self.attempt += 1
         transport = self.transport
-        try:
-            transport._check_deadline(self.message)
-        except DeadlineExceeded as error:
-            self.finish(error)
+        message = self.message
+        session = transport.sessions.get(message.session_id)
+        if session is not None and session.deadline_expired(transport.now_ms):
+            session.note_deadline(transport.now_ms)
+            self.finish(DeadlineExceeded(
+                f"session {session.id!r} exceeded its deadline of "
+                f"{session.deadline_at_ms:.1f} simulated ms "
+                f"(clock now {transport.now_ms:.1f})"))
             return
         try:
-            outcome = transport.begin_transmission(self.message)
+            outcome = transport.begin_transmission(message)
         except MessageTooLargeError as error:
             self.finish(error)
             return
@@ -238,29 +291,41 @@ class RequestExchange:
             self._fail_attempt(outcome.error, outcome.delay_ms)
             return
         decision = outcome.decision
+        payload = message
         if decision is not None and decision.corrupt:
-            # A damaged query cannot be meaningfully evaluated; the
-            # receiver's edge detects it.  Deterministic, so no retry.
+            # Deterministic damage, so never retried: a carried credential
+            # is tampered (the receiver's verification rejects it), or —
+            # with nothing to tamper — the checksum fails at the edge.
             try:
-                transport._apply_corruption(self.message)
+                payload = self._corrupted(message)
             except SignatureError as error:
                 self._finish_after(outcome.delay_ms, error)
                 return
         self.scheduler.schedule(
             outcome.delay_ms,
-            self.scheduler._alias(self.message) + " deliver",
-            lambda: self._deliver_request(decision))
+            self.scheduler._alias(message) + " deliver",
+            lambda: self._deliver(payload, decision))
+
+    def _corrupted(self, message: Message) -> Message:
+        self.transport._note_fault("transport.corrupt", message)
+        damaged = tamper_message(message)
+        if damaged is None:
+            raise SignatureError(
+                f"{message.kind} from {message.sender!r} to "
+                f"{message.receiver!r} failed its payload checksum")
+        return damaged
 
     def _fail_attempt(self, error: TransientNetworkError,
                       delay_ms: float) -> None:
-        """The transmission was lost: back off and retry (as a future event)
-        or give up, with the same accounting as the inline retry loop."""
+        """The transmission was lost: back off and retry (as a future event,
+        with the *same* message — its id is the idempotency key) or give
+        up once the retry policy's attempts run out."""
         transport = self.transport
         if self.attempt < self.attempts_allowed:
             backoff = transport.retry.backoff_ms(
                 self.attempt, transport._backoff_rng)
             transport.stats.retries += 1
-            transport._count_for_session(self.message, "retries")
+            self._count("retries")
             transport.stats.simulated_ms += backoff
             _FLIGHTREC.note(transport.now_ms, self.message.session_id,
                             "retry", self.message.sender,
@@ -278,7 +343,7 @@ class RequestExchange:
                 self.scheduler._alias(self.message) + " retry",
                 self._attempt_action)
             return
-        transport._count_for_session(self.message, "gave_up")
+        self._count("gave_up")
         _FLIGHTREC.note(transport.now_ms, self.message.session_id,
                         "gave-up", self.message.sender, self.message.receiver,
                         f"{self.message.kind} after {self.attempt} attempts")
@@ -286,8 +351,7 @@ class RequestExchange:
 
     def _finish_after(self, delay_ms: float, outcome: object) -> None:
         """Deliver a terminal outcome once the in-flight transmission's
-        simulated delay has elapsed (the inline path charged that latency
-        before raising)."""
+        simulated delay has elapsed."""
         self.scheduler.schedule(
             delay_ms,
             self.scheduler._alias(self.message) + " fail",
@@ -295,82 +359,70 @@ class RequestExchange:
 
     # -- receiver side -----------------------------------------------------------
 
-    @staticmethod
-    def _answers_suspendably(receiver) -> bool:
-        """True when the receiver's query answering runs through the stock
-        step generator.  A subclass that overrides ``_handle_query`` (e.g.
-        the grid scenario's delegating handheld) opted out of the generator
-        protocol — its override must keep running inline, not be bypassed
-        by the base class's steps."""
-        from repro.negotiation.peer import Peer
-
-        if not isinstance(receiver, Peer):
-            return False
-        return type(receiver)._handle_query is Peer._handle_query
+    def _suppress_duplicate(self) -> None:
+        self.transport.stats.duplicates_suppressed += 1
+        self._count("duplicates_suppressed")
 
     @_under_span
-    def _deliver_request(self, decision) -> None:
-        """The request arrived: dedupe against the session reply cache, then
-        run the handler — suspendably for queries, inline otherwise."""
+    def _deliver(self, payload: Message, decision) -> None:
+        """The message arrived: a redelivery is suppressed by the session's
+        dedup ledger (a request's cached reply is retransmitted instead);
+        anything new runs the receiver's handler."""
         transport = self.transport
-        message = self.message
-        cache = transport._reply_cache.setdefault(message.session_id, {})
-        cached = cache.get(message.dedup_key)
-        if cached is not None:
-            transport.stats.duplicates_suppressed += 1
-            transport._count_for_session(message, "duplicates_suppressed")
-            if decision is not None and decision.duplicate:
-                transport.stats.record(message, message.wire_size(), 0.0)
-                transport.stats.duplicates_suppressed += 1
-                transport._count_for_session(message, "duplicates_suppressed")
-            self._send_reply(cached)
+        key = payload.dedup_key
+        if self.one_way:
+            delivered = transport._delivered_oneway.setdefault(
+                payload.session_id, set())
+            reply = None
+            seen = key in delivered
+            delivered.add(key)
+        else:
+            reply = transport._reply_cache.setdefault(
+                payload.session_id, {}).get(key)
+            seen = reply is not None
+        if seen:
+            self._suppress_duplicate()
+            self._delivered(reply, decision)
             return
         try:
-            receiver = transport.registry.get(message.receiver)
+            receiver = transport.registry.get(payload.receiver)
         except UnknownPeerError as error:
             self.finish(error)
             return
-        if isinstance(message, QueryMessage) and self._answers_suspendably(
-                receiver):
-            task = EvaluationTask(
-                self.scheduler,
-                receiver.answer_query_steps(message, suspendable=True),
-                on_done=lambda reply: self._evaluation_done(reply, decision),
-                on_error=self._evaluation_failed)
-            task.start()
-            return
-        try:
-            reply = receiver.handle(message)
-        except Exception as error:  # noqa: BLE001 - routed, not swallowed
-            self._evaluation_failed(error)
-            return
-        if reply is None:
-            self.finish(NetworkError(
-                f"peer {message.receiver!r} returned no reply to "
-                f"{message.kind}"))
-            return
-        self._evaluation_done(reply, decision)
+        EvaluationTask(
+            self.scheduler, _handler_steps(receiver, payload),
+            on_done=lambda reply: self._handled(reply, decision),
+            on_error=self._handler_failed).start()
 
-    def _evaluation_done(self, reply: Message, decision) -> None:
-        transport = self.transport
-        message = self.message
-        transport._cache_reply(message, reply)
-        if decision is not None and decision.duplicate:
-            # The network delivered a second copy of the request: account
-            # it; the (now populated) reply cache suppresses re-execution.
-            transport.stats.record(message, message.wire_size(), 0.0)
-            transport.stats.duplicates_suppressed += 1
-            transport._count_for_session(message, "duplicates_suppressed")
-        self._send_reply(reply)
+    def _handled(self, reply: Optional[Message], decision) -> None:
+        if not self.one_way:
+            if reply is None:
+                self.finish(NetworkError(
+                    f"peer {self.message.receiver!r} returned no reply to "
+                    f"{self.message.kind}"))
+                return
+            self.transport._cache_reply(self.message, reply)
+        self._delivered(reply, decision)
 
-    def _evaluation_failed(self, error: BaseException) -> None:
+    def _handler_failed(self, error: BaseException) -> None:
         if isinstance(error, TransientNetworkError):
-            # Inline, a transient escaping the handler is retried by the
-            # caller's retry loop (the reply cache is still empty, so the
-            # handler re-executes).  Keep that behaviour.
+            # Retried like a lost message; a request's reply cache is still
+            # empty, so its handler re-executes.
             self._fail_attempt(error, 0.0)
         else:
             self.finish(error)
+
+    def _delivered(self, reply: Optional[Message], decision) -> None:
+        if decision is not None and decision.duplicate:
+            # The network delivered a second copy: account it; the (now
+            # populated) dedup ledger suppresses re-execution.
+            self.transport.stats.record(
+                self.message, self.message.wire_size(), 0.0)
+            self._suppress_duplicate()
+        if self.one_way:
+            self.finish(None)
+        else:
+            self._send_reply(reply)
 
     @_under_span
     def _send_reply(self, reply: Message) -> None:
@@ -388,17 +440,16 @@ class RequestExchange:
         decision = outcome.decision
         payload = reply
         if decision is not None and decision.corrupt:
-            # Inline returns the damaged copy immediately, skipping the
-            # duplicate accounting below — keep that short-circuit.
+            # The damaged copy is what arrives; a duplicate of it is not
+            # accounted separately.
             try:
-                payload = transport._apply_corruption(reply)
+                payload = self._corrupted(reply)
             except SignatureError as error:
                 self._finish_after(outcome.delay_ms, error)
                 return
         elif decision is not None and decision.duplicate:
             transport.stats.record(reply, reply.wire_size(), 0.0)
-            transport.stats.duplicates_suppressed += 1
-            transport._count_for_session(self.message, "duplicates_suppressed")
+            self._suppress_duplicate()
         if isinstance(payload, AnswerMessage):
             self.scheduler.schedule(
                 outcome.delay_ms,
@@ -413,14 +464,16 @@ class RequestExchange:
     # -- completion --------------------------------------------------------------
 
     def finish(self, outcome: object) -> None:
-        """Terminal: hand the reply (or exception instance) to the waiting
-        continuation.  Runs synchronously — resumption chains are bounded by
-        the nesting budget, exactly like the inline call stack was."""
+        """Terminal: hand the outcome to the waiting continuation.  Runs
+        synchronously — resumption chains are bounded by the nesting
+        budget."""
         if self.completed:
             return
         self.completed = True
         self.scheduler.unregister(self)
-        if not isinstance(outcome, Message):
+        failed = isinstance(outcome, BaseException)
+        if failed and not self.one_way:
+            # One-way senders log their own losses.
             _FLIGHTREC.note(self.transport.now_ms, self.message.session_id,
                             "rpc-failed", self.message.sender,
                             self.message.receiver,
@@ -428,146 +481,17 @@ class RequestExchange:
                             f"{type(outcome).__name__}")
         tracer = _trace.ACTIVE
         if tracer is not None and self.span is not None:
-            tracer.end(self.span, attempts=self.attempt,
-                       ok=isinstance(outcome, Message),
-                       outcome=type(outcome).__name__)
-        self.on_outcome(outcome)
-
-
-class TableExchange:
-    """One one-way tabling notification (``TableComplete``) unrolled into
-    events, mirroring ``Transport.send`` + ``Transport._with_retries``:
-    transient losses back off and retry with the standard accounting; any
-    other failure (unreachable peer, oversize, checksum) lands immediately,
-    because the inline send raises those without retrying.  ``on_outcome``
-    receives ``None`` on delivery or the exception instance the inline path
-    would have raised."""
-
-    def __init__(self, scheduler: EventScheduler, message: Message,
-                 on_outcome: Callable[[object], None]) -> None:
-        self.scheduler = scheduler
-        self.transport = scheduler.transport
-        self.message = message
-        self.on_outcome = on_outcome
-        self.attempt = 0
-        self.completed = False
-        self.span = None
-        retry = self.transport.retry
-        self.attempts_allowed = retry.max_attempts if retry is not None else 1
-
-    def start(self) -> None:
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            self.span = tracer.begin(
-                "table-notify", kind=self.message.kind,
-                sender=self.message.sender, receiver=self.message.receiver,
-                msg=tracer.alias("msg", self.message.message_id),
-                session=tracer.alias("session", self.message.session_id))
-        self._attempt_action()
-
-    @_under_span
-    def _attempt_action(self) -> None:
-        self.attempt += 1
-        transport = self.transport
-        try:
-            transport._check_deadline(self.message)
-        except DeadlineExceeded as error:
-            self.finish(error)
-            return
-        try:
-            outcome = transport.begin_transmission(self.message)
-        except MessageTooLargeError as error:
-            self.finish(error)
-            return
-        if outcome.error is not None:
-            if isinstance(outcome.error, TransientNetworkError):
-                self._fail_attempt(outcome.error, outcome.delay_ms)
-            else:
-                # Inline ``send`` raises non-transients (peer down) straight
-                # through the retry loop — no backoff, no second attempt.
-                self._finish_after(outcome.delay_ms, outcome.error)
-            return
-        decision = outcome.decision
-        payload = self.message
-        if decision is not None and decision.corrupt:
-            try:
-                payload = transport._apply_corruption(self.message)
-            except SignatureError as error:
-                self._finish_after(outcome.delay_ms, error)
-                return
-        self.scheduler.schedule(
-            outcome.delay_ms,
-            self.scheduler._alias(self.message) + " deliver",
-            lambda: self._deliver(payload, decision))
-
-    def _fail_attempt(self, error: TransientNetworkError,
-                      delay_ms: float) -> None:
-        transport = self.transport
-        if self.attempt < self.attempts_allowed:
-            backoff = transport.retry.backoff_ms(
-                self.attempt, transport._backoff_rng)
-            transport.stats.retries += 1
-            transport._count_for_session(self.message, "retries")
-            transport.stats.simulated_ms += backoff
-            _FLIGHTREC.note(transport.now_ms, self.message.session_id,
-                            "retry", self.message.sender,
-                            self.message.receiver,
-                            f"{self.message.kind} attempt {self.attempt + 1} "
-                            f"backoff {backoff:.3f}ms")
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                tracer.event("transport.retry", parent=self.span,
-                             kind=self.message.kind, attempt=self.attempt + 1,
-                             backoff_ms=backoff,
-                             msg=tracer.alias("msg", self.message.message_id))
-            self.scheduler.schedule(
-                delay_ms + backoff,
-                self.scheduler._alias(self.message) + " retry",
-                self._attempt_action)
-            return
-        transport._count_for_session(self.message, "gave_up")
-        _FLIGHTREC.note(transport.now_ms, self.message.session_id,
-                        "gave-up", self.message.sender, self.message.receiver,
-                        f"{self.message.kind} after {self.attempt} attempts")
-        self._finish_after(delay_ms, error)
-
-    def _finish_after(self, delay_ms: float, outcome: object) -> None:
-        self.scheduler.schedule(
-            delay_ms,
-            self.scheduler._alias(self.message) + " fail",
-            lambda: self.finish(outcome))
-
-    @_under_span
-    def _deliver(self, payload: Message, decision) -> None:
-        """Arrival: the oneway dedup ledger (shared with the inline path)
-        suppresses redelivered duplicates, with the same zero-latency
-        accounting for the network's extra copy."""
-        transport = self.transport
-        transport._dispatch_oneway(payload)
-        if decision is not None and decision.duplicate:
-            transport.stats.record(
-                self.message, self.message.wire_size(), 0.0)
-            transport._dispatch_oneway(payload)
-        self.finish(None)
-
-    def finish(self, outcome: object) -> None:
-        if self.completed:
-            return
-        self.completed = True
-        tracer = _trace.ACTIVE
-        if tracer is not None and self.span is not None:
-            tracer.end(self.span, attempts=self.attempt,
-                       ok=outcome is None,
+            tracer.end(self.span, attempts=self.attempt, ok=not failed,
                        outcome=type(outcome).__name__)
         self.on_outcome(outcome)
 
 
 class GatherExchange:
-    """N concurrent :class:`RequestExchange`s under one continuation — the
+    """N concurrent request :class:`Exchange`s under one continuation — the
     scatter half of scatter-gather evaluation.
 
     Each call keeps its individual fault/retry semantics (it *is* an
-    ordinary :class:`RequestExchange`); this class only bounds how many run
+    ordinary :class:`Exchange`); this class only bounds how many run
     at once (``Transport.max_in_flight``, the window) and collects their
     outcomes.  Outcomes are stored by **issue index**, and the continuation
     is resumed exactly once, after the last call lands, with the full list
@@ -597,7 +521,7 @@ class GatherExchange:
         index = self._launched
         self._launched += 1
         call = self.calls[index]
-        exchange = RequestExchange(
+        exchange = Exchange(
             self.scheduler, call.message,
             on_outcome=lambda outcome, index=index: self._landed_at(
                 index, outcome))
@@ -625,12 +549,12 @@ class GatherExchange:
 
 
 class EvaluationTask:
-    """Drives one suspendable step generator to completion.  Each
-    :class:`Suspension` the generator yields carries a
+    """Drives one step generator to completion.  Each :class:`Suspension`
+    the generator yields carries a
     :class:`repro.negotiation.engine.RemoteCall` (one nested
-    :class:`RequestExchange`) or a
+    :class:`Exchange`, request or one-way) or a
     :class:`repro.negotiation.engine.GatherCall` (a :class:`GatherExchange`
-    fanning out N of them); either way the task resumes the generator — at
+    fanning out N requests); either way the task resumes the generator — at
     the exact suspension point — with the exchange's outcome."""
 
     def __init__(self, scheduler: EventScheduler, generator,
@@ -670,15 +594,8 @@ class EvaluationTask:
                                on_outcome=self._step).start()
                 return
             ctx = getattr(call, "trace_ctx", None)
-            if isinstance(item, TableSuspension):
-                # One-way tabling notification: no reply to wait on, but the
-                # sender still blocks for the delivery outcome (the inline
-                # ``send`` returns only after charging the full exchange).
-                exchange = TableExchange(self.scheduler, call.message,
-                                         on_outcome=self._step)
-            else:
-                exchange = RequestExchange(self.scheduler, call.message,
-                                           on_outcome=self._step)
+            exchange = Exchange(self.scheduler, call.message,
+                                on_outcome=self._step, one_way=call.one_way)
             if tracer is not None and ctx is not None:
                 with tracer.use(ctx):
                     exchange.start()
@@ -690,9 +607,37 @@ class EvaluationTask:
 
 
 def scheduler_for(transport) -> EventScheduler:
-    """The transport's scheduler, creating and attaching it on first use
-    (``Transport.scheduler`` starts as ``None`` so the inline synchronous
-    path carries no event-loop baggage)."""
+    """The transport's scheduler, creating and attaching it on first use."""
     if transport.scheduler is None:
         transport.scheduler = EventScheduler(transport)
     return transport.scheduler
+
+
+def run_sync(transport,
+             start: Callable[[EventScheduler, Callable[[object], None]],
+                             None]) -> object:
+    """The driver behind every synchronous entry point
+    (``Transport.request``/``send``, ``Peer.handle``, ``Peer.local_query``,
+    ...): ``start(scheduler, done)`` begins one piece of work on the
+    transport's scheduler, the loop runs until idle, and the outcome handed
+    to ``done`` is returned — or raised, when it is an exception.  Called
+    from inside a dispatched event it raises :class:`RuntimeError` before
+    touching the loop (see :meth:`EventScheduler.begin_run`)."""
+    scheduler = scheduler_for(transport)
+    scheduler.begin_run()
+    outcomes: list[object] = []
+    start(scheduler, outcomes.append)
+    scheduler.run_until_idle()
+    if not outcomes:
+        raise RuntimeError(
+            "the event loop went idle with the work still pending")
+    if isinstance(outcomes[0], BaseException):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def run_steps(transport, steps) -> object:
+    """Drive a step generator to completion (see :func:`run_sync`) and
+    return its value."""
+    return run_sync(transport, lambda scheduler, done: EvaluationTask(
+        scheduler, steps, on_done=done, on_error=done).start())

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.datalog.parser import parse_literal
+from repro.datalog.sld import Suspension
+from repro.negotiation.engine import RemoteCall
 from repro.negotiation.peer import Peer
 from repro.negotiation.result import NegotiationResult
 from repro.negotiation.strategies import negotiate
@@ -53,16 +55,20 @@ class DelegatingPeer(Peer):
         super().__init__(name, **options)
         self.delegate = delegate
 
-    def _handle_query(self, message: QueryMessage) -> AnswerMessage:
+    def answer_query_steps(self, message: QueryMessage):
+        """Relay the query to the delegate and its answer back, as a step
+        generator: the forwarded query suspends like any remote call."""
         session = self._session(message.session_id, message.sender)
         session.log("forward", self.name, self.delegate, str(message.goal))
-        reply = self.transport.request(QueryMessage(
+        reply = yield Suspension(RemoteCall(QueryMessage(
             sender=self.name,
             receiver=self.delegate,
             session_id=message.session_id,
             goal=message.goal,
             depth=message.depth + 1,
-        ))
+        ), session))
+        if isinstance(reply, BaseException):
+            raise reply
         items = getattr(reply, "items", ())
         return AnswerMessage(
             sender=self.name,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.datalog.parser import parse_literal
 from repro.negotiation.strategies import negotiate
+from repro.runtime import NegotiationSpec, run_many
 from repro.scenarios.grid import build_grid_scenario, run_cluster_access
 
 KEY_BITS = 512
@@ -62,3 +63,45 @@ class TestDelegatedNegotiation:
         result = negotiate(scenario.cluster, "Bob-Home",
                            parse_literal('gridMember("Bob") @ "VO"'))
         assert result.granted
+
+
+class TestInterleavedWithOtherNegotiations:
+    """The handheld's forwarded query is an ordinary suspended exchange, so
+    a negotiation interleaved with it on one scheduler sees exactly the
+    clock it would see alone."""
+
+    @staticmethod
+    def _specs():
+        scenario = build_grid_scenario(chain_length=2, key_bits=KEY_BITS)
+        world = scenario.world
+        world.add_peer(
+            "Server0",
+            'hello0(Requester) $ true <- friend0(Requester) @ "CA0" @ Requester.')
+        client = world.add_peer(
+            "Client0", 'friend0(X) @ Y $ true <-{true} friend0(X) @ Y.')
+        world.issuer("CA0")
+        world.distribute_keys()
+        world.give_credentials("Client0", 'friend0("Client0") signedBy ["CA0"].')
+        grid = NegotiationSpec(scenario.handheld, "Cluster",
+                               parse_literal('clusterAccess("Bob")'))
+        pair = NegotiationSpec(client, "Server0",
+                               parse_literal('hello0("Client0")'))
+        return grid, pair
+
+    @staticmethod
+    def _span(report, index):
+        start, end = report.spans[index]
+        return end - start
+
+    def test_pair_beside_the_handheld_keeps_its_solo_span(self):
+        _, pair = self._specs()
+        solo_pair = self._span(run_many([pair]), 0)
+        grid, _ = self._specs()
+        solo_grid = self._span(run_many([grid]), 0)
+        grid, pair = self._specs()
+        both = run_many([grid, pair])
+        assert [result.granted for result in both.results] == [True, True]
+        assert solo_pair == pytest.approx(4.458, abs=1e-3)
+        assert self._span(both, 1) == solo_pair
+        assert solo_grid == pytest.approx(7.039, abs=1e-3)
+        assert self._span(both, 0) == solo_grid

@@ -14,6 +14,7 @@ hold on *any* workload:
 from hypothesis import given, settings, strategies as st
 
 from repro.credentials.credential import verify_credential
+from repro.runtime import run_steps
 from repro.workloads.generator import build_random_bilateral
 from repro.workloads.metrics import measure_negotiation
 
@@ -76,9 +77,9 @@ def test_property_granted_implies_provider_can_rederive(seed):
         drop_peers=frozenset({workload.requester.name}),
     )
     solutions = context.query_goal(workload.goal, max_solutions=1)
-    grants = provider._release_policy_grants(
+    grants = run_steps(provider.transport, provider._release_policy_grants_steps(
         workload.goal, workload.requester.name, result.session,
-        allow_remote=False)
+        allow_remote=False))
     assert solutions or grants
 
 

@@ -191,3 +191,48 @@ class TestStatsSurface:
         assert snapshot["max_queue_depth"] >= 4
         assert snapshot["events_processed"] == fleet.world.stats.events_processed
         assert "duplicates_suppressed" in snapshot
+
+
+class TestSynchronousEntryPoints:
+    def test_request_from_inside_an_event_raises(self):
+        """A synchronous call made while the scheduler dispatches an event
+        must refuse to run rather than pump other negotiations' events and
+        move the shared clock mid-event."""
+        fleet = _constant_fleet(2, faults=False)
+        transport = fleet.world.transport
+        scheduler = scheduler_for(transport)
+        other = fleet.specs[1]
+        seen = {}
+
+        def probe():
+            before = (transport.stats.events_processed, transport.now_ms,
+                      transport.stats.messages)
+            try:
+                transport.request(QueryMessage(
+                    sender=other.requester.name, receiver=other.provider,
+                    session_id="probe", goal=other.goal))
+            except RuntimeError as error:
+                seen["error"] = error
+            seen["moved"] = (transport.stats.events_processed,
+                             transport.now_ms,
+                             transport.stats.messages) != before
+
+        # Queued between the first pair's opening query and its delivery.
+        scheduler.schedule(0.5, "probe", probe)
+        report = run_many([fleet.specs[0]])
+        assert isinstance(seen.get("error"), RuntimeError)
+        assert seen["moved"] is False
+        assert report.results[0].granted
+        assert not scheduler.running
+
+    def test_transport_request_runs_on_the_event_loop(self):
+        fleet = _constant_fleet(1, faults=False)
+        transport = fleet.world.transport
+        spec = fleet.specs[0]
+        before = transport.stats.events_processed
+        reply = transport.request(QueryMessage(
+            sender=spec.requester.name, receiver=spec.provider,
+            session_id="sync-request", goal=spec.goal))
+        assert isinstance(reply, AnswerMessage) and reply.items
+        assert transport.stats.events_processed > before
+        assert scheduler_for(transport)._pending == {}

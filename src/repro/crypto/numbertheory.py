@@ -2,7 +2,9 @@
 
 Everything here is textbook material implemented from scratch: extended
 Euclid, modular inverse, Miller–Rabin primality (deterministic witness sets
-for small inputs, random witnesses above), and prime generation.
+for small inputs, random witnesses above), and prime generation.  Primes
+have their top two bits set, OpenSSL's form of the FIPS 186-4 B.3.1 bound
+sqrt(2) * 2**(k - 1), so a product of two has exactly their summed size.
 """
 
 from __future__ import annotations
@@ -87,19 +89,20 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
 
 
 def random_prime(bits: int) -> int:
-    """A random prime of exactly ``bits`` bits (top bit set, odd)."""
+    """A random odd prime of exactly ``bits`` bits with its top two bits set."""
     if bits < 8:
         raise CryptoError("refusing to generate primes below 8 bits")
     while True:
-        candidate = secrets.randbits(bits) | (1 << (bits - 1)) | 1
+        candidate = secrets.randbits(bits) | (3 << (bits - 2)) | 1
         if is_probable_prime(candidate):
             return candidate
 
 
-def random_prime_pair(bits: int) -> tuple[int, int]:
-    """Two distinct primes of ``bits`` bits each, for RSA moduli."""
-    p = random_prime(bits)
+def random_prime_pair(modulus_bits: int) -> tuple[int, int]:
+    """Distinct primes of ceil(n/2) and floor(n/2) bits, n = ``modulus_bits``;
+    each is above 3/4 of 2**(its bits), so their product has exactly n bits."""
+    p = random_prime(modulus_bits - modulus_bits // 2)
     while True:
-        q = random_prime(bits)
+        q = random_prime(modulus_bits // 2)
         if q != p:
             return p, q

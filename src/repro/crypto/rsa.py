@@ -62,13 +62,6 @@ def clear_signature_cache() -> None:
     _signature_cache.clear()
 
 
-def reset_signature_cache_stats() -> None:
-    SIGNATURE_CACHE_STATS.hits = 0
-    SIGNATURE_CACHE_STATS.misses = 0
-    SIGNATURE_CACHE_STATS.evictions = 0
-    SIGNATURE_CACHE_STATS.sign_hits = 0
-
-
 def _cache_key(message: bytes, signature: bytes, public_key: "RSAPublicKey") -> tuple:
     return (
         public_key.modulus,
@@ -97,6 +90,8 @@ def evict_cached_verification(
 _SHA256_DIGEST_INFO_PREFIX = bytes.fromhex(
     "3031300d060960864801650304020105000420"
 )
+# 00 01, at least eight FF, 00 and the 51-byte DigestInfo: 62 bytes, 489 bits.
+_MIN_ENCODED_BYTES = 11 + len(_SHA256_DIGEST_INFO_PREFIX) + hashlib.sha256().digest_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,17 +117,16 @@ class RSAPrivateKey:
 
 
 def generate_keypair(bits: int = 1024) -> tuple[RSAPublicKey, RSAPrivateKey]:
-    """Generate an RSA key pair with a modulus of ``bits`` bits."""
-    if bits < 256:
-        raise CryptoError("modulus below 256 bits cannot hold a SHA-256 DigestInfo")
+    """Generate an RSA key pair with a modulus of exactly ``bits`` bits."""
+    if (bits + 7) // 8 < _MIN_ENCODED_BYTES:
+        raise CryptoError(f"a {bits}-bit modulus cannot hold the "
+                          f"{_MIN_ENCODED_BYTES}-byte SHA-256 signature encoding")
     while True:
-        p, q = random_prime_pair(bits // 2)
+        p, q = random_prime_pair(bits)
         modulus = p * q
         phi = (p - 1) * (q - 1)
         if phi % PUBLIC_EXPONENT == 0:
             continue  # e must be invertible mod phi
-        if modulus.bit_length() < bits:
-            continue
         d = modular_inverse(PUBLIC_EXPONENT, phi)
         return (
             RSAPublicKey(modulus, PUBLIC_EXPONENT),
@@ -142,10 +136,10 @@ def generate_keypair(bits: int = 1024) -> tuple[RSAPublicKey, RSAPrivateKey]:
 
 def _emsa_pkcs1_encode(message: bytes, target_length: int) -> bytes:
     """EMSA-PKCS1-v1.5: 00 01 FF..FF 00 DigestInfo(SHA-256(message))."""
+    if target_length < _MIN_ENCODED_BYTES:
+        raise CryptoError("modulus too small for SHA-256 signature encoding")
     digest_info = _SHA256_DIGEST_INFO_PREFIX + hashlib.sha256(message).digest()
     padding_length = target_length - len(digest_info) - 3
-    if padding_length < 8:
-        raise CryptoError("modulus too small for SHA-256 signature encoding")
     return b"\x00\x01" + b"\xff" * padding_length + b"\x00" + digest_info
 
 

@@ -508,7 +508,6 @@ def build_bilateral_fleet(pair_count: int, key_bits: int = 512) -> FleetWorkload
             f"Client{index}",
             f'friend{index}(X) @ Y $ true <-{{true}} friend{index}(X) @ Y.')
         world.issuer(f"CA{index}")
-        world.distribute_keys()
         world.give_credentials(
             f"Client{index}",
             f'friend{index}("Client{index}") signedBy ["CA{index}"].')
@@ -517,5 +516,6 @@ def build_bilateral_fleet(pair_count: int, key_bits: int = 512) -> FleetWorkload
             provider=f"Server{index}",
             goal=parse_literal(f'hello{index}("Client{index}")'),
         ))
+    world.distribute_keys()
     return FleetWorkload(world, specs,
                          description=f"bilateral fleet x{pair_count}")

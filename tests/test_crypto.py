@@ -55,8 +55,18 @@ class TestRSA:
         assert keypair.public.verify(blob, keypair.sign(blob))
 
     def test_key_generation_rejects_tiny_moduli(self):
-        with pytest.raises(CryptoError):
-            rsa.generate_keypair(128)
+        # 488 bits is one short of the 62 bytes EMSA-PKCS1 SHA-256 needs:
+        # such a key must fail at generation, not at its first signature.
+        for bits in (128, 488):
+            with pytest.raises(CryptoError, match="62-byte"):
+                rsa.generate_keypair(bits)
+
+    @pytest.mark.parametrize("bits", [489, 513, 1023])
+    def test_key_generation_gives_exact_modulus_size(self, bits):
+        public, private = rsa.generate_keypair(bits)
+        assert public.modulus.bit_length() == bits
+        signature = rsa.sign(b"m", private)
+        assert rsa.verify(b"m", signature, public)
 
     def test_verify_or_raise(self, keypair):
         with pytest.raises(SignatureError):

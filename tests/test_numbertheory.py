@@ -80,9 +80,25 @@ class TestPrimeGeneration:
     def test_prime_is_odd(self):
         assert random_prime(32) % 2 == 1
 
+    @pytest.mark.parametrize("bits, draws", [(8, 50), (256, 3)])
+    def test_top_two_bits_set(self, bits, draws):
+        for _ in range(draws):
+            prime = random_prime(bits)
+            assert prime % 2 == 1
+            assert prime.bit_length() == bits
+            assert prime >> (bits - 2) == 0b11
+
     def test_pair_is_distinct(self):
         p, q = random_prime_pair(48)
         assert p != q and is_probable_prime(p) and is_probable_prime(q)
+
+    @pytest.mark.parametrize("modulus_bits", [16, 17, 63, 64, 489, 512, 513])
+    def test_pair_product_has_exact_size(self, modulus_bits):
+        for _ in range(20 if modulus_bits < 100 else 3):
+            p, q = random_prime_pair(modulus_bits)
+            assert p.bit_length() == (modulus_bits + 1) // 2
+            assert q.bit_length() == modulus_bits // 2
+            assert (p * q).bit_length() == modulus_bits
 
     def test_tiny_bits_rejected(self):
         with pytest.raises(CryptoError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.workloads.generator import (
     build_alternating_chain,
+    build_bilateral_fleet,
     build_cyclic_release,
     build_delegation_chain,
     build_divergent_world,
@@ -50,6 +51,17 @@ class TestGeneratorStructure:
         first_rules = sorted(str(r) for r in first.world.peers["Server"].kb.rules())
         second_rules = sorted(str(r) for r in second.world.peers["Server"].kb.rules())
         assert first_rules == second_rules
+
+    def test_bilateral_fleet_key_rings(self):
+        fleet = build_bilateral_fleet(3, key_bits=KEY_BITS)
+        world = fleet.world
+        principals = sorted(f"{role}{index}" for index in range(3)
+                            for role in ("Server", "Client", "CA"))
+        for peer in world.peers.values():
+            assert peer.keyring.principals() == principals
+            for name in principals:
+                assert (peer.keyring.get(name).fingerprint
+                        == world.keys_for(name).public.fingerprint)
 
     def test_expect_success_flags(self):
         assert build_delegation_chain(2, key_bits=KEY_BITS).expect_success

@@ -41,8 +41,7 @@ def main() -> None:
 
     # E-Learn can package what it received as an independently verifiable
     # certified proof of Alice's student status (paper §6).
-    received = scenario.world.transport.sessions.get(
-        result.session.id).received_for("E-Learn")
+    received = result.session.received_for("E-Learn")
     package = CertifiedProof(
         parse_literal('student("Alice") @ "UIUC"'),
         tuple(c for c in received.credentials()

@@ -84,6 +84,7 @@ from repro.policy.pseudovars import bind_pseudovars, bind_pseudovars_in_literal
 from repro.policy.release import (
     credential_release_decisions,
     release_obligations,
+    restates_head,
     rule_shipping_obligations,
 )
 from repro.policy.sticky import (
@@ -373,36 +374,39 @@ class Peer:
     def _grants_and_hooks_steps(self, goal: Literal, requester: str,
                                 session: Session, items: list,
                                 answered_keys: set):
-        """Append ``$``-policy grants and query-hook items to ``items``
-        (shared tail of the inflight and gem answer paths).
+        """Append resource-policy grants and query-hook items to ``items``
+        (shared tail of the inflight and gem answer paths), never past
+        ``max_answers`` items in all.
 
         Resource-access policies: a predicate may be governed *only* by a
         ``$`` rule (the paper's freeEnroll, §3.1) — access is granted when
         the guard and body are provable, with no separate content rule."""
+        if len(items) >= self.max_answers:
+            return items
         grants = yield from self._release_policy_grants_steps(
             goal, requester, session, True)
-        for item in grants:
+        if self._add_new_items(grants, items, answered_keys):
+            return items
+        for hook in self.query_hooks:
+            hook_items = yield from hook(goal, requester, session)
+            if self._add_new_items(hook_items, items, answered_keys):
+                break
+        return items
+
+    def _add_new_items(self, new_items, items: list,
+                       answered_keys: set) -> bool:
+        """Append the items of ``new_items`` whose answered literal is not
+        in ``answered_keys`` yet; True once ``items`` holds ``max_answers``."""
+        for item in new_items:
+            if len(items) >= self.max_answers:
+                return True
             key = (canonical_literal(item.answered_literal)
                    if item.answered_literal is not None else None)
             if key in answered_keys:
                 continue
             answered_keys.add(key)
             items.append(item)
-            if len(items) >= self.max_answers:
-                break
-
-        for hook in self.query_hooks:
-            hook_items = yield from hook(goal, requester, session)
-            for item in hook_items:
-                key = (canonical_literal(item.answered_literal)
-                       if item.answered_literal is not None else None)
-                if key in answered_keys:
-                    continue
-                answered_keys.add(key)
-                items.append(item)
-                if len(items) >= self.max_answers:
-                    break
-        return items
+        return len(items) >= self.max_answers
 
     def _final_answer(self, message: QueryMessage, session: Session,
                       requester: str, items: list) -> AnswerMessage:
@@ -801,14 +805,25 @@ class Peer:
         session: Session,
         allow_remote: bool = True,
     ):
-        """Grant access through a pure ``$`` resource policy: prove the
-        guard and body with Requester bound, and answer with the resulting
-        bindings (no supporting disclosure — the obligations were proved on
-        our side, often *from* the requester's disclosures).  Step-generator
-        returning the list of :class:`AnswerItem` grants."""
+        """Grant access through a ``$`` resource policy: prove the guard and
+        body with Requester bound, and answer with the resulting bindings (no
+        supporting disclosure — the obligations were proved on our side,
+        often *from* the requester's disclosures).  Step-generator returning
+        the list of :class:`AnswerItem` grants.
+
+        On the answering path (``allow_remote``) only resource policies
+        grant.  A release policy proper (``p $ guard <- p``, see
+        :func:`~repro.policy.release.restates_head`) derives nothing the
+        content rules did not: its answers were derived by the query and
+        released, once each, by :meth:`_answer_releasable_steps`.  The eager
+        strategy's offline check (``allow_remote=False``) proves every ``$``
+        rule — there the guard is proved with the requester dropped, while
+        the release check may still ask other peers."""
         items: list[AnswerItem] = []
         bound_goal = bind_pseudovars_in_literal(goal, requester, self.name)
         for policy in self.kb.release_policies_for(bound_goal):
+            if allow_remote and restates_head(policy):
+                continue
             instantiated = bind_pseudovars(policy, requester, self.name).rename_apart()
             subst = unify_literals(bound_goal, instantiated.head, Substitution.empty())
             if subst is None:

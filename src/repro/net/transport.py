@@ -391,4 +391,5 @@ class Transport:
         clock (``now_ms``) keeps running — deadlines span resets."""
         previous = self.stats
         self.stats = TransportStats()
+        _metrics.track_transport(self)  # ``previous`` leaves the live sums
         return previous

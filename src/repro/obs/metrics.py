@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import weakref
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 # Cheap guard for high-frequency push sites (per-message, per-event).  The
@@ -367,24 +368,68 @@ def global_registry() -> MetricsRegistry:
 # -- default collectors: the four legacy stats surfaces ---------------------------
 
 # Live transports, tracked weakly so the registry never keeps a dead world
-# alive.  Sourced transport metrics sum across whatever is still running.
-_TRACKED_TRANSPORTS: "weakref.WeakSet" = weakref.WeakSet()
+# alive; each maps to the finalizer that retires its current stats object.
+# The ``_total`` samples add the live counters to those of every transport
+# already collected and every stats object swapped out by ``reset_stats``,
+# so they never run backwards.  simulated_ms retires as an exact Fraction:
+# float sums regrouped as transports retire could read one ulp lower.
+_LIVE_TRANSPORTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_COUNT_FIELDS = ("messages", "bytes", "retries", "dropped",
+                 "duplicates_suppressed", "events_processed")
+_KIND_FIELDS = ("by_kind", "bytes_by_kind")
+_RETIRED: dict = {**dict.fromkeys(_COUNT_FIELDS, 0),
+                  "simulated_ms": Fraction(0),
+                  **{field: {} for field in _KIND_FIELDS}}
 
 
 def track_transport(transport) -> None:
-    _TRACKED_TRANSPORTS.add(transport)
+    """Count ``transport`` in the sourced ``peertrust_transport_*`` metrics.
+
+    Call it again after swapping ``transport.stats``: the counters it held
+    until then move to the retired totals, as do those of a transport that
+    is garbage-collected (the finalizer holds its stats, not the transport)."""
+    previous = _LIVE_TRANSPORTS.get(transport)
+    if previous is not None:
+        previous()  # retires the swapped-out stats; a finalizer runs once
+    retire = weakref.finalize(transport, _retire_stats, transport.stats)
+    retire.atexit = False
+    _LIVE_TRANSPORTS[transport] = retire
+
+
+def _retire_stats(stats) -> None:
+    for field in _COUNT_FIELDS:
+        _RETIRED[field] += getattr(stats, field)
+    _RETIRED["simulated_ms"] += Fraction(stats.simulated_ms)
+    for field in _KIND_FIELDS:
+        retired = _RETIRED[field]
+        for kind, count in getattr(stats, field).items():
+            retired[kind] = retired.get(kind, 0) + count
+
+
+def _live_transports() -> list:
+    # Strong references for the duration of one read: no transport can
+    # retire between being summed and the retired totals being read.
+    return list(_LIVE_TRANSPORTS)
 
 
 def _transport_sum(field: str):
     def total():
-        return sum(getattr(t.stats, field) for t in _TRACKED_TRANSPORTS)
+        live = _live_transports()
+        return _RETIRED[field] + sum(getattr(t.stats, field) for t in live)
     return total
+
+
+def _transport_simulated_ms() -> float:
+    live = _live_transports()
+    return float(_RETIRED["simulated_ms"]
+                 + sum(Fraction(t.stats.simulated_ms) for t in live))
 
 
 def _transport_by_kind(field: str):
     def per_kind():
-        combined: dict[str, int] = {}
-        for transport in _TRACKED_TRANSPORTS:
+        live = _live_transports()
+        combined: dict[str, int] = dict(_RETIRED[field])
+        for transport in live:
             for kind, value in getattr(transport.stats, field).items():
                 combined[kind] = combined.get(kind, 0) + value
         return combined
@@ -448,15 +493,13 @@ def install_default_collectors(registry: Optional[MetricsRegistry] = None) -> Me
         lambda: canonical_cache_info().misses,
         help="memoised canonical-literal misses")
 
-    for field in ("messages", "bytes", "retries", "dropped",
-                  "duplicates_suppressed", "events_processed"):
+    for field in _COUNT_FIELDS:
         reg.register_callback(
             f"peertrust_transport_{field}_total", _transport_sum(field),
-            help=f"transport {field} summed over live transports")
+            help=f"transport {field} summed over every transport so far")
     reg.register_callback(
-        "peertrust_transport_simulated_ms_total",
-        _transport_sum("simulated_ms"),
-        help="simulated milliseconds accumulated by live transports")
+        "peertrust_transport_simulated_ms_total", _transport_simulated_ms,
+        help="simulated milliseconds accumulated by every transport so far")
     reg.register_callback(
         "peertrust_transport_messages_by_kind_total",
         _transport_by_kind("by_kind"), label="kind",
@@ -467,7 +510,7 @@ def install_default_collectors(registry: Optional[MetricsRegistry] = None) -> Me
         help="transport bytes by message kind")
     reg.register_callback(
         "peertrust_transport_max_queue_depth",
-        lambda: max((t.stats.max_queue_depth for t in _TRACKED_TRANSPORTS),
+        lambda: max((t.stats.max_queue_depth for t in _live_transports()),
                     default=0),
         kind="gauge",
         help="deepest scheduler event queue seen by any live transport")

@@ -97,6 +97,22 @@ def release_obligations(
     return decisions
 
 
+def restates_head(policy: Rule) -> bool:
+    """True when ``policy`` is a release policy proper: the paper's
+    ``p $ ctx <- p`` idiom, where one body goal is the head itself — same
+    predicate, arguments, authority chain and variable names.
+
+    Such a rule only says who may *receive* ``p``; the answer it covers is
+    derived by the content rules and released by :func:`release_obligations`,
+    which treats the restated body goal as already proved.  Every other
+    ``$`` rule (freeEnroll, §3.1) is a *resource* policy: proving its guard
+    and body grants access by itself.  The test is syntactic on purpose — a
+    body that merely unifies with the head (``p(X, Y) <- p(Y, X)``) says
+    something new and stays a resource policy."""
+    head = policy.head
+    return any(goal == head for goal in policy.body)
+
+
 def credential_release_decisions(
     kb: KnowledgeBase,
     credential,

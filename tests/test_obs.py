@@ -7,8 +7,10 @@ trace determinism (with and without a fault plan), the timeline renderer,
 and the CLI surfaces (``--trace``, ``--metrics-out``, ``trace-view``).
 """
 
+import gc
 import io
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,80 @@ class TestLegacySurfaces:
         run_free_enrollment(scenario)
         delta = registry.delta(before)
         assert delta['peertrust_engine_ops_total{op="resolutions"}'] > 0
+
+
+def _transport_totals(registry):
+    return {name: value for name, value in registry.snapshot().items()
+            if name.startswith("peertrust_transport_") and "_total" in name}
+
+
+class TestTransportTotalsMonotone:
+    """The ``peertrust_transport_*_total`` counters keep the traffic of
+    transports that were collected or reset."""
+
+    def test_collected_fleet_keeps_its_traffic(self):
+        from repro.workloads.generator import build_bilateral_fleet
+
+        registry = install_default_collectors(MetricsRegistry())
+        fleet = build_bilateral_fleet(4, key_bits=KEY_BITS)
+        before = registry.snapshot()
+        fleet.run_interleaved()
+        sent = fleet.world.transport.stats.messages
+        assert sent > 0
+        transport = weakref.ref(fleet.world.transport)
+        del fleet
+        gc.collect()
+        assert transport() is None
+        delta = registry.delta(before)
+        assert delta["peertrust_transport_messages_total"] == sent
+
+    def test_reset_stats_keeps_the_total(self):
+        from tests.test_net import EchoPeer, query
+
+        from repro.net.transport import Transport
+
+        registry = install_default_collectors(MetricsRegistry())
+        transport = Transport()
+        transport.register(EchoPeer("a"))
+        transport.register(EchoPeer("b"))
+        before = registry.snapshot()
+        transport.send(query())
+        transport.reset_stats()
+        delta = registry.delta(before)
+        assert delta["peertrust_transport_messages_total"] == 1
+        assert delta[
+            'peertrust_transport_messages_by_kind_total{kind="QueryMessage"}'
+        ] == 1
+
+    @given(st.lists(st.sampled_from(["create", "run", "reset", "drop", "gc"]),
+                    max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_totals_never_decrease(self, operations):
+        from tests.test_net import EchoPeer, query
+
+        from repro.net.transport import Transport
+
+        registry = install_default_collectors(MetricsRegistry())
+        transports = []
+        previous = _transport_totals(registry)
+        for operation in operations:
+            if operation == "create":
+                transport = Transport()
+                transport.register(EchoPeer("a"))
+                transport.register(EchoPeer("b"))
+                transports.append(transport)
+            elif operation == "run" and transports:
+                transports[-1].request(query())
+            elif operation == "reset" and transports:
+                transports[-1].reset_stats()
+            elif operation == "drop" and transports:
+                transports.pop(0)
+            elif operation == "gc":
+                gc.collect()
+            current = _transport_totals(registry)
+            for name, value in previous.items():
+                assert current.get(name, 0) >= value, (operation, name)
+            previous = current
 
 
 # ---------------------------------------------------------------------------

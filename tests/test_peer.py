@@ -71,6 +71,30 @@ class TestQueryHandling:
         reply = server.handle(make_query("n(X)"))
         assert len(reply.items) == 2
 
+    def test_max_answers_caps_grants(self):
+        # p(a) is derived and released; the resource policy could grant
+        # p(c) as well, but the reply is already full.
+        world, server, _ = simple_world(
+            "p(a). p(a) $ true <-{true} p(a). p(X) $ true <- q(X). q(c).",
+            max_answers=1)
+        reply = server.handle(make_query("p(X)"))
+        assert [str(item.answered_literal) for item in reply.items] == ["p(a)"]
+
+    def test_max_answers_caps_query_hooks(self):
+        world, server, _ = simple_world(
+            "p(X) $ true <- q(X). q(a). q(b).", max_answers=1)
+        calls = []
+
+        def hook(goal, requester, session):
+            calls.append(str(goal))
+            return []
+            yield  # a step generator that never suspends
+
+        server.query_hooks.append(hook)
+        reply = server.handle(make_query("p(X)"))
+        assert len(reply.items) == 1
+        assert calls == []  # the reply was full before the hooks ran
+
 
 class TestPolicyKnobs:
     def test_answers_queries_off(self):

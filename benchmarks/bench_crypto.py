@@ -1,15 +1,13 @@
 """E8 — Cryptographic substrate microbenchmarks.
 
 Times the primitives every negotiation leans on: RSA signing/verification
-over canonical rule bytes, credential issue/verify, and certificate-chain
-validation.  (PeerTrust 1.0 used the Java Cryptography Architecture; these
-numbers characterise our from-scratch substitute.)
+over canonical rule bytes and credential issue/verify.  (PeerTrust 1.0 used
+the Java Cryptography Architecture; these numbers characterise our
+from-scratch substitute.)
 """
 
 from conftest import KEY_BITS
 
-from repro.bench.reporting import print_table
-from repro.credentials.ca import CertificateAuthority, verify_chain
 from repro.credentials.credential import issue_credential, verify_credential
 from repro.crypto.canonical import rule_signing_bytes
 from repro.crypto.keys import KeyPair, KeyRing, keypair_for
@@ -51,20 +49,3 @@ def test_e8_credential_roundtrip(benchmark):
         verify_credential(credential, ring)
 
     benchmark(roundtrip)
-
-
-def test_e8_certificate_chain(benchmark):
-    root = CertificateAuthority("BenchRoot", keys=keypair_for("BenchRoot", KEY_BITS))
-    inter = CertificateAuthority("BenchInter", keys=keypair_for("BenchInter", KEY_BITS))
-    inter_cert = root.issue_intermediate(inter)
-    leaf = inter.issue(keypair_for("bench-leaf", KEY_BITS).public)
-    anchors = KeyRing()
-    anchors.add(root.keys.public)
-
-    print_table([{
-        "artifact": "two-level chain",
-        "leaf subject": leaf.subject,
-        "signature bytes": len(leaf.signature),
-    }], title="E8 - PKI artefact sizes")
-
-    benchmark(lambda: verify_chain([leaf, inter_cert], anchors))

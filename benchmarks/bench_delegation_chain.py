@@ -12,6 +12,7 @@ import time
 from conftest import KEY_BITS
 
 from repro.bench.reporting import print_table
+from repro.determinism import reset_all
 from repro.workloads.generator import build_delegation_chain
 from repro.workloads.metrics import measure_negotiation
 
@@ -21,6 +22,7 @@ CHAIN_LENGTHS = (1, 2, 4, 8, 16, 32)
 def test_e4_delegation_chain_sweep(benchmark):
     rows = []
     for length in CHAIN_LENGTHS:
+        reset_all()  # fresh-variable names, hence bytes, start from fixed counters
         workload = build_delegation_chain(length, key_bits=KEY_BITS)
         started = time.perf_counter()
         result, report = measure_negotiation(workload)

@@ -5,8 +5,6 @@ workloads (the classic deductive-database yardstick):
 
 - naive vs semi-naive bottom-up: semi-naive re-derives nothing, so its
   advantage grows with the closure's diameter;
-- full fixpoint vs magic-set rewriting for a bound-first-argument query:
-  magic touches only the query-reachable component;
 - tabled top-down vs bottom-up, plus the tabling-off cycle-pruning mode.
 """
 
@@ -16,8 +14,7 @@ from conftest import KEY_BITS  # noqa: F401 - uniform import, not used here
 
 from repro.bench.reporting import print_table
 from repro.datalog.knowledge import KnowledgeBase
-from repro.datalog.magic import magic_query
-from repro.datalog.parser import parse_goals, parse_literal, parse_program
+from repro.datalog.parser import parse_goals, parse_program
 from repro.datalog.seminaive import naive_fixpoint, seminaive_fixpoint
 from repro.datalog.sld import SLDEngine
 
@@ -58,37 +55,6 @@ def test_e7_naive_vs_seminaive(benchmark):
 
     program = parse_program(chain_program(16))
     benchmark(lambda: seminaive_fixpoint(program))
-
-
-def test_e7_magic_vs_full(benchmark):
-    rows = []
-    for length in (8, 16, 32):
-        program = parse_program(chain_program(length, components=6))
-        query = parse_literal("path(n0_0, W)")
-
-        started = time.perf_counter()
-        full = seminaive_fixpoint(program)
-        full_ms = (time.perf_counter() - started) * 1000
-        full_paths = sum(1 for f in full.facts if f.predicate == "path")
-
-        started = time.perf_counter()
-        answers = magic_query(program, query)
-        magic_ms = (time.perf_counter() - started) * 1000
-
-        rows.append({
-            "chain length": length,
-            "full path facts": full_paths,
-            "relevant answers": len(answers),
-            "full_ms": round(full_ms, 2),
-            "magic_ms": round(magic_ms, 2),
-        })
-    print_table(rows, title="E7b - magic sets vs full fixpoint (bound query)")
-    for row in rows:
-        assert row["relevant answers"] < row["full path facts"]
-
-    program = parse_program(chain_program(16, components=6))
-    query = parse_literal("path(n0_0, W)")
-    benchmark(lambda: magic_query(program, query))
 
 
 def test_e7_tabled_sld(benchmark):
@@ -132,35 +98,3 @@ def test_e7_tabled_sld(benchmark):
         return engine.query(goals)
 
     benchmark(tabled_query)
-
-
-def test_e7_body_reordering(benchmark):
-    """E7d: the bound-first body-reordering ablation.  A deliberately
-    badly-ordered rule (unselective cross product first) pays a large
-    resolution count; adornment-aware reordering recovers the good plan."""
-    junk = " ".join(f"junk(j{i}, k{j})." for i in range(12) for j in range(12))
-    program_text = (f"r(X) <- junk(A, B), key(X), A != B. {junk} key(42).")
-
-    rows = []
-    for label, reorder in (("as written", False), ("reordered", True)):
-        engine = SLDEngine(KnowledgeBase(parse_program(program_text)),
-                           reorder_bodies=reorder)
-        started = time.perf_counter()
-        solutions = engine.query(parse_goals("r(X)"))
-        elapsed_ms = (time.perf_counter() - started) * 1000
-        rows.append({
-            "plan": label,
-            "answers": len(solutions),
-            "resolutions": engine.stats.resolutions,
-            "wall_ms": round(elapsed_ms, 2),
-        })
-    print_table(rows, title="E7d - bound-first body reordering")
-    assert rows[0]["answers"] == rows[1]["answers"]
-    assert rows[1]["resolutions"] < rows[0]["resolutions"]
-
-    def reordered_query():
-        engine = SLDEngine(KnowledgeBase(parse_program(program_text)),
-                           reorder_bodies=True)
-        return engine.query(parse_goals("r(X)"))
-
-    benchmark(reordered_query)

@@ -12,6 +12,7 @@ import time
 from conftest import KEY_BITS
 
 from repro.bench.reporting import print_table
+from repro.determinism import reset_all
 from repro.scenarios.services import build_scenario2, run_paid_enrollment
 from repro.workloads.generator import build_peer_ring
 from repro.workloads.metrics import measure_negotiation
@@ -22,6 +23,7 @@ RING_SIZES = (2, 4, 8, 16)
 def test_e9_peer_ring_sweep(benchmark):
     rows = []
     for size in RING_SIZES:
+        reset_all()  # fresh-variable names, hence bytes, start from fixed counters
         workload = build_peer_ring(size, key_bits=KEY_BITS)
         started = time.perf_counter()
         result, report = measure_negotiation(workload)
@@ -51,6 +53,7 @@ def test_e9_peer_ring_sweep(benchmark):
 def test_e9_broker_lookup_cost(benchmark):
     rows = []
     for label, use_broker in (("direct authority", False), ("via broker", True)):
+        reset_all()
         scenario = build_scenario2(key_bits=KEY_BITS, use_broker=use_broker)
         scenario.world.reset_metrics()
         result = run_paid_enrollment(scenario)
@@ -87,6 +90,7 @@ def test_e9_superpeer_topology(benchmark):
                                  ("1 cube hop", 0b001),
                                  ("2 cube hops", 0b011),
                                  ("3 cube hops", 0b111)):
+        reset_all()
         world = World(key_bits=KEY_BITS)
         server = world.add_peer("Server",
                                 'resource(Requester) $ true <- '

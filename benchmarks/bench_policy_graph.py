@@ -11,6 +11,7 @@ import time
 from conftest import KEY_BITS
 
 from repro.bench.reporting import print_table
+from repro.determinism import reset_all
 from repro.workloads.generator import build_policy_tree
 from repro.workloads.metrics import measure_negotiation
 
@@ -20,6 +21,7 @@ CONFIGURATIONS = [(1, 1), (1, 4), (2, 2), (3, 2), (2, 3), (4, 2)]
 def test_e5_policy_graph_sweep(benchmark):
     rows = []
     for depth, branching in CONFIGURATIONS:
+        reset_all()  # fresh-variable names, hence bytes, start from fixed counters
         workload = build_policy_tree(depth, branching, key_bits=KEY_BITS)
         started = time.perf_counter()
         result, report = measure_negotiation(workload)

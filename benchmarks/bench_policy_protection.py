@@ -10,6 +10,7 @@ from conftest import KEY_BITS
 
 from repro.bench.reporting import print_table
 from repro.datalog.parser import parse_goals, parse_literal
+from repro.determinism import reset_all
 from repro.net.message import DisclosureMessage, PolicyRequestMessage, QueryMessage
 from repro.negotiation.session import next_session_id
 from repro.scenarios.services import build_scenario2, run_free_enrollment
@@ -35,6 +36,7 @@ def _pushed_enrollment_messages():
 
 def test_e3_policy_protection(benchmark):
     # 1. Leak scan over a full negotiation.
+    reset_all()  # every row starts from fixed id counters
     scenario = build_scenario2(key_bits=KEY_BITS)
     result = run_free_enrollment(scenario)
     leaks = [e for e in result.session.transcript
@@ -60,6 +62,7 @@ def test_e3_policy_protection(benchmark):
         session_id=next_session_id("up"), policy_name="freebieEligible"))
 
     # 3. Push-based enrollment.
+    reset_all()
     pushed_messages, pushed_bytes = _pushed_enrollment_messages()
 
     print_table([

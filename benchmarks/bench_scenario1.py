@@ -10,6 +10,7 @@ negotiation's message/byte/disclosure profile.
 from conftest import KEY_BITS
 
 from repro.bench.reporting import print_table
+from repro.determinism import reset_all
 from repro.scenarios.elearn import (
     build_scenario1,
     run_discount_negotiation,
@@ -18,6 +19,7 @@ from repro.scenarios.elearn import (
 
 
 def _profile(run, name):
+    reset_all()  # fresh-variable names, hence bytes, start from fixed counters
     scenario = build_scenario1(key_bits=KEY_BITS)
     scenario.world.reset_metrics()
     result = run(scenario)

@@ -8,6 +8,7 @@ revocation check blocks a revoked card; the broker variant works.
 from conftest import KEY_BITS
 
 from repro.bench.reporting import print_table
+from repro.determinism import reset_all
 from repro.scenarios.services import (
     build_scenario2,
     revoke_ibm_card,
@@ -17,6 +18,7 @@ from repro.scenarios.services import (
 
 
 def _profile(name, build_kwargs, run, expect, mutate=None):
+    reset_all()  # fresh-variable names, hence bytes, start from fixed counters
     scenario = build_scenario2(key_bits=KEY_BITS, **build_kwargs)
     if mutate:
         mutate(scenario)

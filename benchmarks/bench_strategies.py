@@ -11,6 +11,7 @@ disclosure count dominates parsimonious's.
 from conftest import KEY_BITS
 
 from repro.bench.reporting import print_table
+from repro.determinism import reset_all
 from repro.workloads.generator import (
     build_alternating_chain,
     build_random_bilateral,
@@ -25,6 +26,7 @@ def test_e6_strategy_chain_comparison(benchmark):
     rows = []
     for depth in DEPTHS:
         for strategy in ("parsimonious", "eager"):
+            reset_all()  # fresh-variable names, hence bytes, start from fixed counters
             workload = build_alternating_chain(depth, key_bits=KEY_BITS)
             result, report = measure_negotiation(workload, strategy)
             assert result.granted
@@ -61,6 +63,7 @@ def test_e6_interoperability(benchmark):
     for seed in SEEDS:
         outcome = {}
         for strategy in ("parsimonious", "eager"):
+            reset_all()
             workload = build_random_bilateral(seed, key_bits=KEY_BITS)
             result, report = measure_negotiation(workload, strategy)
             outcome[strategy] = result.granted

@@ -3,7 +3,7 @@
 A from-scratch reproduction of Nejdl, Olmedilla & Winslett's PeerTrust
 (2004): a policy and trust-negotiation language built on distributed logic
 programs, together with every substrate it needs — a Datalog engine with
-authority chains and release contexts, an RSA/PKI credential layer, an
+authority chains and release contexts, an RSA credential layer, an
 in-process peer-to-peer network, negotiation strategies, and certified
 proofs.
 
@@ -26,13 +26,13 @@ Quickstart::
 Package map (see DESIGN.md for the full inventory):
 
 - :mod:`repro.datalog` — terms, unification, parser, SLD with tabling,
-  semi-naive fixpoint, magic sets, stratification;
+  semi-naive fixpoint, stratification;
 - :mod:`repro.policy` — release contexts, pseudo-variables, UniPro;
 - :mod:`repro.crypto` / :mod:`repro.credentials` — RSA, canonical
-  serialisation, signed-rule credentials, certificates, CRLs;
+  serialisation, signed-rule credentials;
 - :mod:`repro.net` — messages, transport, registry, broker programs;
 - :mod:`repro.negotiation` — peers, the distributed evaluation engine,
-  sessions, strategies, certified proofs, tokens, audit;
+  sessions, strategies, certified proofs, tokens;
 - :mod:`repro.scenarios` — the paper's worked examples (§4.1, §4.2, grid);
 - :mod:`repro.workloads` — parametric benchmark workloads;
 - :mod:`repro.rdf` — N-Triples and RDF↔facts mapping.

@@ -1,30 +1,24 @@
-"""Credential layer: signed rules, identity certificates, CAs, and CRLs.
+"""Credential layer: signed rules and the wallets that hold them.
 
 The paper's negotiation exchanges *signed rules* — a student ID is the
 signed fact ``student("Alice") @ "UIUC Registrar"``, a delegation is the
 signed rule ``student(X) @ "UIUC" <- student(X) @ "UIUC Registrar"``.
 :class:`repro.credentials.credential.Credential` wraps a rule with its RSA
-signature and validity window.
+signature and validity window; :class:`repro.credentials.store.CredentialStore`
+indexes a peer's credentials.
 
-Identity certificates (:mod:`repro.credentials.certificate`) bind principal
-names to public keys, with CA hierarchies (:mod:`repro.credentials.ca`) and
-revocation lists (:mod:`repro.credentials.revocation`) — the machinery
-behind §4.2's VISA card revocation check.
+A credential verifies against the verifier's key ring, which
+:meth:`repro.world.World.distribute_keys` fills out of band.  §4.2's card
+revocation is a policy, not a credential-layer list: VISA's
+``not revokedCard(Company)`` (:data:`repro.scenarios.services.POLICY49_REVOCATION`).
 """
 
 from repro.credentials.credential import Credential, issue_credential, verify_credential
-from repro.credentials.certificate import Certificate
-from repro.credentials.ca import CertificateAuthority, verify_chain
-from repro.credentials.revocation import RevocationList
 from repro.credentials.store import CredentialStore
 
 __all__ = [
     "Credential",
     "issue_credential",
     "verify_credential",
-    "Certificate",
-    "CertificateAuthority",
-    "verify_chain",
-    "RevocationList",
     "CredentialStore",
 ]

@@ -10,14 +10,14 @@ included in the logic program" — the engine reasons over the
 ``signedBy [..]`` annotation while this layer carries and checks the actual
 bytes.  :func:`verify_credential` is the boundary: a rule only enters a
 peer's knowledge base after its credential verifies against the peer's key
-ring (and, when configured, its revocation lists).
+ring.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.crypto.canonical import rule_signing_bytes
 from repro.crypto.keys import KeyPair, KeyRing
@@ -26,7 +26,6 @@ from repro.datalog.terms import Constant
 from repro.errors import (
     CredentialError,
     ExpiredCredentialError,
-    RevokedCredentialError,
     SignatureError,
 )
 
@@ -51,7 +50,7 @@ class Credential:
     """A rule plus the signatures that make it believable.
 
     ``signatures`` is ordered to match ``rule.signers``.  ``serial`` is a
-    content hash used for revocation and deduplication.
+    content hash used for deduplication and disclosure-delta references.
     """
 
     rule: Rule
@@ -120,15 +119,13 @@ def issue_credential(
 def verify_credential(
     credential: Credential,
     keyring: KeyRing,
-    revocation_lists: Iterable["object"] = (),
     now: Optional[float] = None,
 ) -> None:
     """Verify a credential or raise.
 
     Checks, in order: structural sanity, every signature against the key
-    ring, the validity window, and membership in any supplied revocation
-    list.  ``now`` defaults to skipping time checks when the credential has
-    no window (simulated-clock friendly).
+    ring, and the validity window.  ``now`` defaults to skipping time checks
+    when the credential has no window (simulated-clock friendly).
     """
     signer_names = rule_signer_names(credential.rule)
     if len(signer_names) != len(credential.signatures):
@@ -158,23 +155,6 @@ def verify_credential(
         if credential.not_after is not None and now > credential.not_after:
             raise ExpiredCredentialError(
                 f"credential expired at {credential.not_after}")
-
-    for crl in revocation_lists:
-        if getattr(crl, "is_revoked")(credential.serial):
-            # Withdraw the cached signature verdicts for this credential:
-            # revocation means the issuer's say-so is no longer trusted, and
-            # a later verification (e.g. against a ring that no longer holds
-            # the issuer) must recompute from scratch rather than replay a
-            # remembered positive.  Revocation itself is (re)checked on every
-            # presentation, so the cache can never mask it either way.
-            from repro.crypto.rsa import evict_cached_verification
-
-            for name, signature in zip(signer_names, credential.signatures):
-                key = keyring.maybe_get(name)
-                if key is not None:
-                    evict_cached_verification(message, signature, key.rsa_key)
-            raise RevokedCredentialError(
-                f"credential {credential.serial[:12]} revoked by {getattr(crl, 'issuer', '?')}")
 
 
 def tampered_with(credential: Credential, keyring: KeyRing) -> bool:

@@ -1,8 +1,9 @@
 """From-scratch cryptographic substrate.
 
 PeerTrust 1.0 used the Java Cryptography Architecture and X.509
-certificates; this reproduction implements the equivalent machinery in pure
-Python:
+certificates; this reproduction implements the signature machinery in pure
+Python and bootstraps public keys out of band
+(:meth:`repro.world.World.distribute_keys`) in place of certificates:
 
 - :mod:`repro.crypto.numbertheory` — Miller–Rabin primality, extended GCD,
   modular inverse, prime generation;

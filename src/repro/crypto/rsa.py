@@ -13,10 +13,8 @@ Verification results are cached in a bounded LRU keyed by
 re-presented across sessions and peers pays the public-key operation once
 per process.  The cached verdict is a pure mathematical fact (the signature
 either matches the bytes under that key or it does not), so the cache can
-never mask *policy* decisions such as revocation or expiry — those are
-checked by the credential layer on every presentation.  Layers that must
-guarantee a fresh computation (e.g. after a CA lands on a CRL) can evict
-entries with :func:`evict_cached_verification`.
+never mask *policy* decisions such as expiry — those are checked by the
+credential layer on every presentation.
 """
 
 from __future__ import annotations
@@ -70,21 +68,6 @@ def _cache_key(message: bytes, signature: bytes, public_key: "RSAPublicKey") -> 
         signature,
     )
 
-
-def evict_cached_verification(
-    message: bytes, signature: bytes, public_key: "RSAPublicKey"
-) -> bool:
-    """Drop one cached verdict; returns whether an entry was present.
-
-    Used by the credential layer when trust in a key is withdrawn (CA
-    revocation): the next verification is recomputed from scratch rather
-    than served from memory.
-    """
-    removed = _signature_cache.pop(_cache_key(message, signature, public_key), None)
-    if removed is not None:
-        SIGNATURE_CACHE_STATS.evictions += 1
-        return True
-    return False
 
 # DER prefix of DigestInfo for SHA-256 (RFC 8017 §9.2 note 1).
 _SHA256_DIGEST_INFO_PREFIX = bytes.fromhex(
@@ -164,6 +147,7 @@ def sign(message: bytes, private_key: RSAPrivateKey) -> bytes:
         _signature_cache[key] = signature
         if len(_signature_cache) > _SIGNATURE_CACHE_MAX:
             _signature_cache.popitem(last=False)
+            SIGNATURE_CACHE_STATS.evictions += 1
     return signature
 
 
@@ -201,6 +185,7 @@ def verify(message: bytes, signature: bytes, public_key: RSAPublicKey) -> bool:
         _signature_cache[key] = result
         if len(_signature_cache) > _SIGNATURE_CACHE_MAX:
             _signature_cache.popitem(last=False)
+            SIGNATURE_CACHE_STATS.evictions += 1
     return result
 
 

@@ -14,7 +14,6 @@ runtime needs from a logic engine:
 - :mod:`repro.datalog.sld` — backward chaining with depth bounds and tabling
 - :mod:`repro.datalog.seminaive` — semi-naive forward-chaining fixpoint
   (the paper's declarative semantics)
-- :mod:`repro.datalog.magic` — magic-set rewriting
 - :mod:`repro.datalog.stratify` — dependency analysis / stratified negation
 """
 

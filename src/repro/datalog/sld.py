@@ -285,7 +285,6 @@ class SLDEngine:
         strict_depth: bool = False,
         dispatch: Optional[Dispatcher] = None,
         rule_transform: Optional[Callable[[Rule], Rule]] = None,
-        reorder_bodies: bool = False,
         retain_tables: Optional[bool] = None,
     ) -> None:
         self.kb = kb
@@ -299,10 +298,6 @@ class SLDEngine:
         # layer uses this to bind the pseudo-variables Requester/Self per
         # incoming query (paper §3.1).
         self.rule_transform = rule_transform
-        # Bound-first body reordering (repro.datalog.reorder), cached per
-        # clause object since the transformation is deterministic.
-        self.reorder_bodies = reorder_bodies
-        self._reordered: dict[tuple, Rule] = {}
         # Scatter-gather prefetch hook (negotiation dispatchers only): a
         # generator-valued callable invoked once per multi-goal conjunction
         # *before* left-to-right resolution.  It may suspend (to issue
@@ -655,8 +650,6 @@ class SLDEngine:
                 table = None
             for rule in list(self.kb.rules_for(resolved_goal)):
                 self.stats.resolutions += 1
-                if self.reorder_bodies and len(rule.body) > 1:
-                    rule = self._reorder_for_call(rule, resolved_goal)
                 if self.rule_transform is not None:
                     rule = self.rule_transform(rule)
                 renamed = rule.rename_apart()
@@ -691,29 +684,6 @@ class SLDEngine:
                     yield body_subst, proof
         finally:
             self._active.discard(key)
-
-    def _reorder_for_call(self, rule: Rule, resolved_goal: Literal) -> Rule:
-        """Body reordering specialised to the caller's adornment: a head
-        variable counts as bound only when the corresponding argument of the
-        actual call is ground.  Cached per (clause, adornment)."""
-        from repro.datalog.terms import is_ground, variables_in
-
-        adornment = tuple(
-            is_ground(arg)
-            for arg in (resolved_goal.args + resolved_goal.authority))
-        key = (id(rule), adornment)
-        cached = self._reordered.get(key)
-        if cached is None:
-            from repro.datalog.reorder import reorder_rule
-
-            head_parts = rule.head.args + rule.head.authority
-            bound: set[Variable] = set()
-            for part, part_bound in zip(head_parts, adornment):
-                if part_bound:
-                    bound |= variables_in(part)
-            cached = self._reordered[key] = reorder_rule(
-                rule, self.builtins, bound_vars=bound)
-        return cached
 
     def _record_answer(
         self,

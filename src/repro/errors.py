@@ -73,16 +73,8 @@ class CredentialError(PeerTrustError):
     """Base class for credential-layer failures."""
 
 
-class RevokedCredentialError(CredentialError):
-    """Raised when a credential or certificate appears on a revocation list."""
-
-
 class ExpiredCredentialError(CredentialError):
-    """Raised when a credential or certificate is outside its validity window."""
-
-
-class CertificateError(CredentialError):
-    """Raised when an identity certificate or its chain fails validation."""
+    """Raised when a credential or access token is outside its validity window."""
 
 
 class NetworkError(PeerTrustError):

@@ -9,11 +9,9 @@ trust is established (or provably cannot be).
 - :mod:`repro.negotiation.session` — loop detection, transcripts, metrics
 - :mod:`repro.negotiation.strategies` — parsimonious and eager drivers (§5)
 - :mod:`repro.negotiation.proof` — certified proofs (§6)
-- :mod:`repro.negotiation.tokens` / :mod:`repro.negotiation.audit` —
-  the §3.1 access mechanisms
+- :mod:`repro.negotiation.tokens` — the §3.1 access mechanism
 """
 
-from repro.negotiation.audit import AuditRecord, AuditTrail
 from repro.negotiation.engine import EvalContext, evidence_context
 from repro.negotiation.peer import Peer
 from repro.negotiation.proof import CertifiedProof, proof_from_tree, verify_proof
@@ -55,6 +53,4 @@ __all__ = [
     "AccessToken",
     "issue_token",
     "verify_token",
-    "AuditTrail",
-    "AuditRecord",
 ]

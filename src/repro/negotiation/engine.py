@@ -695,11 +695,10 @@ class EvalContext:
         # Disclosure deltas: resolve hash references against what this peer
         # already holds (session overlay first, then the long-term wallet).
         # A resolved reference skips signature re-verification entirely —
-        # the cached payload was verified when it first crossed the wire —
-        # but revocation is re-checked on every resolution, since a CRL may
-        # have arrived since.  An unresolvable or revoked reference rejects
-        # the whole item: references are claims about shared session state,
-        # and a wrong claim must never admit material.
+        # the cached payload was verified when it first crossed the wire.
+        # An unresolvable reference rejects the whole item: references are
+        # claims about shared session state, and a wrong claim must never
+        # admit material.
         refs = list(item.credential_refs)
         if item.answer_credential_ref is not None:
             refs.append(item.answer_credential_ref)
@@ -713,15 +712,6 @@ class EvalContext:
                 self.session.log("reject-ref", self.peer.name, target,
                                  ref.serial[:12])
                 return
-            if any(crl.is_revoked(credential.serial) for crl in self.peer.crls):
-                # Revocation observed since the payload was cached: purge
-                # every per-session cache entry for it, so later disclosures
-                # must ship — and re-verify — the full credential.
-                self.session.counters["revoked_refs"] += 1
-                self.session.purge_credential(credential.serial)
-                self.session.log("reject-ref", self.peer.name, target,
-                                 f"revoked {ref.serial[:12]}")
-                return
             self.session.counters["delta_ref_hits"] += 1
             resolved_refs.append(credential)
         # Re-presented credentials (same rule, same signature, prior session
@@ -730,7 +720,7 @@ class EvalContext:
         sig_hits_before = SIGNATURE_CACHE_STATS.hits
         for credential in disclosed:
             try:
-                verify_credential(credential, self.peer.keyring, self.peer.crls,
+                verify_credential(credential, self.peer.keyring,
                                   now=getattr(self.peer, "clock", None))
             except (CredentialError, SignatureError, KeyError_) as error:
                 self.session.counters["bad_credentials"] += 1

@@ -37,7 +37,6 @@ from repro.credentials.credential import (
     issue_credential,
     verify_credential,
 )
-from repro.credentials.revocation import RevocationList
 from repro.credentials.store import CredentialStore
 from repro.crypto.keys import KeyPair, KeyRing
 from repro.datalog.ast import Literal, Rule, fact
@@ -83,6 +82,7 @@ from repro.obs.metrics import global_registry
 from repro.policy.pseudovars import bind_pseudovars, bind_pseudovars_in_literal
 from repro.policy.release import (
     credential_release_decisions,
+    credential_release_heads,
     release_obligations,
     restates_head,
     rule_shipping_obligations,
@@ -133,7 +133,6 @@ class Peer:
         self.keyring.add(self.keys.public)
         self.builtins = BuiltinRegistry()
         self.unipro = UniProRegistry()
-        self.crls: list[RevocationList] = []
         self.max_depth = max_depth
         self.max_answers = max_answers
         self.max_nesting = max_nesting
@@ -172,20 +171,17 @@ class Peer:
     def trust_key(self, public_key) -> None:
         self.keyring.add(public_key)
 
-    def add_crl(self, crl: RevocationList) -> None:
-        self.crls.append(crl)
-
     def hold_credential(self, credential: Credential, verify: bool = True) -> None:
         """Put a credential in the wallet (a student caching her ID and the
         registrar delegation rule, §3.1)."""
         if verify:
-            verify_credential(credential, self.keyring, self.crls, now=self.clock)
+            verify_credential(credential, self.keyring, now=self.clock)
         self.credentials.add(credential)
 
     def hold_received(self, credential: Credential, session: Session) -> None:
         """Verify a credential received in ``session`` and keep it in the
         session overlay (not the long-term wallet)."""
-        verify_credential(credential, self.keyring, self.crls, now=self.clock)
+        verify_credential(credential, self.keyring, now=self.clock)
         session.received_for(self.name).add(credential)
         session.mark_holder(credential.serial, self.name)
 
@@ -888,18 +884,7 @@ class Peer:
     def _release_guard_for(self, credential: Credential):
         """The raw (pseudo-variable) guard of the first release policy whose
         head covers ``credential`` — what a sticky disclosure attaches."""
-        heads = [credential.rule.head]
-        if not credential.rule.head.authority:
-            try:
-                issuer = credential.primary_issuer
-            except CredentialError:
-                issuer = None
-            if issuer is not None:
-                heads.append(Literal(
-                    credential.rule.head.predicate,
-                    credential.rule.head.args,
-                    (Constant(issuer, quoted=True),)))
-        for head in heads:
+        for head in credential_release_heads(credential):
             for policy in self.kb.release_policies_for(head):
                 renamed = policy.rename_apart()
                 if unify_literals(head, renamed.head, Substitution.empty()) is not None:
@@ -970,9 +955,13 @@ class Peer:
             top = solution.proofs[0]
             if top.kind == "credential" and isinstance(top.credential, Credential):
                 # An answer whose proof is a single credential reveals no
-                # more than the credential itself: its release policy governs.
-                allowed = yield from self._credential_releasable_steps(
-                    top.credential, requester, session)
+                # more than the credential itself: its release policy
+                # governs, unless its head spellings are exactly the
+                # candidates just tried (the same policies, proved again).
+                if not all(head in candidates for head in
+                           credential_release_heads(top.credential)):
+                    allowed = yield from self._credential_releasable_steps(
+                        top.credential, requester, session)
             elif top.rule is not None:
                 # Fall back to the rule context of the top-level clause used:
                 # conclusions of a public rule (<-{true}) are shareable.
@@ -1018,8 +1007,7 @@ class Peer:
         accepted = 0
         for credential in message.credentials:
             try:
-                verify_credential(credential, self.keyring, self.crls,
-                                  now=self.clock)
+                verify_credential(credential, self.keyring, now=self.clock)
             except (CredentialError, SignatureError, KeyError_):
                 session.counters["bad_credentials"] += 1
                 continue

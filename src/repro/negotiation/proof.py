@@ -17,10 +17,9 @@ unsigned private rules does not verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from repro.credentials.credential import Credential, verify_credential
-from repro.credentials.revocation import RevocationList
 from repro.credentials.store import CredentialStore
 from repro.crypto.keys import KeyRing
 from repro.datalog.ast import Literal
@@ -61,7 +60,6 @@ def proof_from_tree(
 def verify_proof(
     proof: CertifiedProof,
     keyring: KeyRing,
-    revocation_lists: Iterable[RevocationList] = (),
     builtins=None,
     now: Optional[float] = None,
 ) -> ProofNode:
@@ -71,10 +69,9 @@ def verify_proof(
     when the goal cannot be re-derived from the credentials alone.
     """
     store = CredentialStore()
-    crl_list = list(revocation_lists)
     for credential in proof.credentials:
         try:
-            verify_credential(credential, keyring, crl_list, now=now)
+            verify_credential(credential, keyring, now=now)
         except (CredentialError, SignatureError, KeyError_) as error:
             raise ProofError(
                 f"credential {credential.rule.head} in proof of {proof.goal} "
@@ -109,7 +106,6 @@ def _derive_from_credentials(
             self.max_depth = 200
             self.credentials = CredentialStore()
             self.keyring = KeyRing()
-            self.crls: list[RevocationList] = []
             self.require_certified_answers = True
             self.transport = None
 

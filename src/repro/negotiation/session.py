@@ -336,20 +336,6 @@ class Session:
     def wire_disclosed(self, sender: str, receiver: str, serial: str) -> bool:
         return serial in self._wire_ledger.get((sender, receiver), ())
 
-    def purge_credential(self, serial: str) -> None:
-        """Invalidate every per-session cache entry for ``serial`` (CRL
-        revocation observed mid-session): the overlays stop resolving delta
-        references to it, holder tracking forgets it, and the wire ledger
-        forces the next disclosure to ship — and therefore re-verify — the
-        full payload."""
-        for store in self._received.values():
-            store.remove(serial)
-        self._holders.pop(serial, None)
-        for serials in self._wire_ledger.values():
-            serials.discard(serial)
-        if self.persistence is not None:
-            self.persistence.credential_purged(self, serial)
-
     # -- release-decision memoisation -------------------------------------------------
 
     def release_cached(self, key: tuple) -> Optional[bool]:

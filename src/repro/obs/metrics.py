@@ -467,7 +467,7 @@ def install_default_collectors(registry: Optional[MetricsRegistry] = None) -> Me
     reg.register_callback(
         "peertrust_sig_cache_evictions_total",
         lambda: SIGNATURE_CACHE_STATS.evictions,
-        help="signature-cache evictions (capacity or CRL)")
+        help="signature-cache evictions (capacity)")
     reg.register_callback(
         "peertrust_sig_cache_sign_hits_total",
         lambda: SIGNATURE_CACHE_STATS.sign_hits,

@@ -113,13 +113,8 @@ def restates_head(policy: Rule) -> bool:
     return any(goal == head for goal in policy.body)
 
 
-def credential_release_decisions(
-    kb: KnowledgeBase,
-    credential,
-    requester: str,
-    self_name: str,
-) -> list[ReleaseDecision]:
-    """Release decisions for a credential, trying both head spellings.
+def credential_release_heads(credential) -> list[Literal]:
+    """Both spellings of a credential's statement.
 
     A credential's statement can be written bare (``visaCard("IBM")``) or
     with its authority chain (``visaCard("IBM") @ "VISA"``) — the signature
@@ -137,8 +132,18 @@ def credential_release_decisions(
         if issuers:
             heads.append(Literal(head.predicate, head.args,
                                  (Constant(issuers[0], quoted=True),)))
+    return heads
+
+
+def credential_release_decisions(
+    kb: KnowledgeBase,
+    credential,
+    requester: str,
+    self_name: str,
+) -> list[ReleaseDecision]:
+    """Release decisions for a credential, trying both head spellings."""
     decisions: list[ReleaseDecision] = []
-    for candidate in heads:
+    for candidate in credential_release_heads(credential):
         decisions.extend(release_obligations(kb, candidate, requester, self_name))
     return decisions
 

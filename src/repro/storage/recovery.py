@@ -148,15 +148,6 @@ class SessionPersistence:
             if store is not None:
                 store.put(f"ledger:{session.id}", key, True)
 
-    def credential_purged(self, session, serial: str) -> None:
-        # Overlay removal propagates through each overlay's own sink; the
-        # ledger entries need an explicit sweep.
-        for store in self.transport.state_stores.values():
-            namespace = f"ledger:{session.id}"
-            for key in list(store.items(namespace)):
-                if json.loads(key)[2] == serial:
-                    store.delete(namespace, key)
-
     def reply_cached(self, message, reply) -> None:
         store = self._store_for(message.receiver)
         if store is not None:

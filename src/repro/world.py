@@ -9,6 +9,9 @@ source text.  :class:`World` packages those steps.
 Key handling: 512-bit keys by default (fast; the protocol code paths are
 identical to larger keys), cached process-wide per principal so repeated
 scenario builds in a test session or benchmark loop do not regenerate keys.
+Trust in those keys is bootstrapped out of band: :meth:`World.distribute_keys`
+hands every peer every principal's public key, standing in for the paper's
+X.509 certificates.
 """
 
 from __future__ import annotations
@@ -87,8 +90,7 @@ class World:
 
     def distribute_keys(self) -> None:
         """Give every peer the public key of every principal in the world —
-        the out-of-band PKI bootstrap (a CA-based bootstrap is available in
-        :mod:`repro.credentials.ca`; scenarios use this direct form)."""
+        the out-of-band key bootstrap every scenario uses."""
         publics = [keys.public for keys in self.issuers.values()]
         publics += [peer.keys.public for peer in self.peers.values()]
         for peer in self.peers.values():

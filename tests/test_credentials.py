@@ -1,4 +1,4 @@
-"""Credential issuance, verification, revocation, and store tests."""
+"""Credential issuance, verification, and store tests."""
 
 import dataclasses
 
@@ -11,14 +11,12 @@ from repro.credentials.credential import (
     tampered_with,
     verify_credential,
 )
-from repro.credentials.revocation import RevocationList
 from repro.credentials.store import CredentialStore
 from repro.crypto.keys import KeyRing, keypair_for
 from repro.datalog.parser import parse_literal, parse_rule
 from repro.errors import (
     CredentialError,
     ExpiredCredentialError,
-    RevokedCredentialError,
     SignatureError,
 )
 
@@ -152,43 +150,6 @@ class TestValidityWindow:
 
     def test_no_window_skips_clock(self, student_id, ring):
         verify_credential(student_id, ring, now=None)
-
-
-class TestRevocation:
-    def test_revoked_credential_rejected(self, registrar, ring, student_id):
-        crl = RevocationList("UIUC Registrar", registrar)
-        crl.revoke(student_id.serial)
-        with pytest.raises(RevokedCredentialError):
-            verify_credential(student_id, ring, [crl])
-
-    def test_unrevoked_passes(self, registrar, ring, student_id):
-        crl = RevocationList("UIUC Registrar", registrar)
-        verify_credential(student_id, ring, [crl])
-
-    def test_crl_signature_verifies(self, registrar, ring):
-        crl = RevocationList("UIUC Registrar", registrar)
-        crl.revoke("serial-1")
-        crl.snapshot().verify(ring)
-
-    def test_tampered_crl_detected(self, registrar, ring):
-        crl = RevocationList("UIUC Registrar", registrar)
-        crl.revoke("serial-1")
-        snapshot = crl.snapshot()
-        snapshot._serials.add("injected")
-        with pytest.raises(SignatureError):
-            snapshot.verify(ring)
-
-    def test_snapshot_cannot_revoke(self, registrar):
-        crl = RevocationList("UIUC Registrar", registrar)
-        with pytest.raises(SignatureError):
-            crl.snapshot().revoke("x")
-
-    def test_sequence_increments(self, registrar):
-        crl = RevocationList("UIUC Registrar", registrar)
-        crl.revoke("a")
-        crl.revoke("a")  # idempotent
-        crl.revoke("b")
-        assert crl.sequence == 2 and len(crl) == 2
 
 
 class TestStore:

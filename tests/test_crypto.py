@@ -80,6 +80,28 @@ class TestRSA:
         assert keys.public.verify(message, keys.sign(message))
 
 
+class TestSignatureCache:
+    def test_capacity_evictions_are_counted(self, keypair, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.obs.metrics import MetricsRegistry, install_default_collectors
+
+        monkeypatch.setattr(rsa, "_signature_cache", OrderedDict())
+        monkeypatch.setattr(rsa, "_SIGNATURE_CACHE_MAX", 2)
+        monkeypatch.setattr(rsa, "_signature_cache_enabled", True)
+        stats = rsa.SIGNATURE_CACHE_STATS
+        before = stats.evictions
+        messages = [b"evict-1", b"evict-2", b"evict-3"]
+        signatures = [keypair.sign(message) for message in messages]
+        assert stats.evictions == before + 1  # the third signature
+        for message, signature in zip(messages, signatures):
+            assert keypair.public.verify(message, signature)
+        assert len(rsa._signature_cache) == 2
+        assert stats.evictions == before + 4
+        snapshot = install_default_collectors(MetricsRegistry()).snapshot()
+        assert snapshot["peertrust_sig_cache_evictions_total"] == stats.evictions
+
+
 class TestCanonical:
     def test_deterministic(self):
         rule = parse_rule('student(X) @ "UIUC" <- signedBy ["UIUC"] student(X) @ "R".')

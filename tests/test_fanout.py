@@ -7,15 +7,14 @@ strictly smaller simulated makespan; ``max_in_flight=1`` leaves the gather
 hook uninstalled so defaults replay the sequential behaviour exactly.
 Delta coverage: repeat disclosures inside one session travel as
 :class:`~repro.net.message.CredentialRef` entries, the receiver resolves
-them from its session cache without re-verifying, unresolvable or revoked
-references reject the item, and cross-item duplicate payloads are deduped.
+them from its session cache without re-verifying, unresolvable references
+reject the item, and cross-item duplicate payloads are deduped.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.credentials.revocation import RevocationList
 from repro.datalog.parser import parse_literal
 from repro.datalog.substitution import Substitution
 from repro.negotiation.engine import EvalContext
@@ -183,20 +182,6 @@ class TestRefResolution:
             answer_credential_ref=credential_ref(stranger))
         assert _absorb(context, session, item) == []
         assert session.counters["unresolved_refs"] == 1
-
-    def test_revoked_ref_rejects_item_and_purges_session_cache(self):
-        world, receiver, session, credential, context = _absorb_fixture()
-        crl = RevocationList("B", world.keys_for("B"))
-        crl.revoke(credential.serial)
-        receiver.add_crl(crl)
-        item = AnswerItem(
-            bindings={}, answered_literal=parse_literal('vouch("A")'),
-            answer_credential_ref=credential_ref(credential))
-        assert _absorb(context, session, item) == []
-        assert session.counters["revoked_refs"] == 1
-        # The purge empties every per-session cache for the serial, so a
-        # later disclosure must ship (and re-verify) the full credential.
-        assert session.received_for("A").get(credential.serial) is None
 
 
 class TestCrossItemDedup:

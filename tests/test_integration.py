@@ -1,5 +1,5 @@
-"""Cross-cutting integration tests: caching, revocation mid-flight, key
-mismatches, world building, and the public API."""
+"""Cross-cutting integration tests: caching, key mismatches, world
+building, and the public API."""
 
 import pytest
 
@@ -64,24 +64,6 @@ class TestCredentialCaching:
         queries = [e for e in second.session.events("query")
                    if "student" in e.detail]
         assert not queries
-
-
-class TestRevocationMidFlight:
-    def test_revoked_credential_breaks_later_negotiations(self):
-        from repro.credentials.revocation import RevocationList
-
-        scenario = build_scenario1(key_bits=KEY_BITS)
-        assert run_discount_negotiation(scenario).granted
-
-        registrar_keys = scenario.world.keys_for("UIUC Registrar")
-        crl = RevocationList("UIUC Registrar", registrar_keys)
-        for credential in scenario.alice.credentials.credentials():
-            if "Registrar" in credential.issuers[0]:
-                crl.revoke(credential.serial)
-        scenario.elearn.add_crl(crl.snapshot())
-        result = run_discount_negotiation(scenario)
-        assert not result.granted
-        assert result.session.counters["bad_credentials"] >= 1
 
 
 class TestKeyMismatch:

@@ -52,8 +52,8 @@ class TestThirdPartyEndorsement:
         assert endorsement_at < credential_at
 
     def test_multiparty_without_endorser_fails(self):
-        """The driver itself adds no magic: excluding the third peer
-        reproduces the bilateral deadlock."""
+        """The multiparty strategy adds nothing by itself: excluding the
+        third peer reproduces the bilateral deadlock."""
         workload = build_third_party_endorsement(key_bits=KEY_BITS)
         result = eager_multiparty_negotiate(
             workload.requester, "Server", workload.goal, participants=[])

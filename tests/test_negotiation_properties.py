@@ -29,7 +29,7 @@ def test_property_received_credentials_all_verify(seed):
     result, _ = measure_negotiation(workload)
     requester = workload.requester
     for credential in result.credentials_received:
-        verify_credential(credential, requester.keyring, requester.crls)
+        verify_credential(credential, requester.keyring)
 
 
 @given(SEEDS)

@@ -1,4 +1,4 @@
-"""Certified proofs, access tokens, and audit-trail tests."""
+"""Certified proofs and access-token tests."""
 
 import dataclasses
 
@@ -12,7 +12,6 @@ from repro.errors import (
     ProofError,
     SignatureError,
 )
-from repro.negotiation.audit import AuditTrail
 from repro.negotiation.proof import CertifiedProof, proof_from_tree, verify_proof
 from repro.negotiation.tokens import issue_token, verify_token
 from repro.world import World
@@ -105,15 +104,6 @@ class TestCertifiedProofs:
         assert len(proof.credentials) == 1
         assert proof.serials()
 
-    def test_revoked_credential_in_proof_fails(self, student_proof):
-        from repro.credentials.revocation import RevocationList
-
-        proof, ring = student_proof
-        crl = RevocationList("Registrar", keypair_for("Registrar", KEY_BITS))
-        crl.revoke(proof.credentials[1].serial)
-        with pytest.raises(ProofError):
-            verify_proof(proof, ring, [crl])
-
 
 class TestTokens:
     @pytest.fixture
@@ -156,26 +146,3 @@ class TestTokens:
         token = issue_token(issuer, parse_literal("enroll(cs101)"), "Alice")
         with pytest.raises(CredentialError):
             verify_token(token, "Alice", ring, revoked_serials={token.serial})
-
-
-class TestAudit:
-    def test_record_and_filter(self):
-        trail = AuditTrail("E-Learn")
-        trail.record("s1", "granted", "Alice", "discountEnroll")
-        trail.record("s1", "denied", "Mallory", "freeEnroll")
-        trail.record("s2", "granted", "Bob", "enroll")
-        assert trail.count("granted") == 2
-        assert len(list(trail.records(subject="Alice"))) == 1
-        assert len(list(trail.records(session_id="s1"))) == 2
-        assert len(trail) == 3
-
-    def test_sequence_monotonic(self):
-        trail = AuditTrail("X")
-        first = trail.record("s", "a", "p")
-        second = trail.record("s", "b", "q")
-        assert second.sequence > first.sequence
-
-    def test_render(self):
-        trail = AuditTrail("X")
-        entry = trail.record("s9", "granted", "Alice", "resource")
-        assert "granted" in str(entry) and "s9" in str(entry)

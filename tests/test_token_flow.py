@@ -62,17 +62,3 @@ class TestTokenAfterNegotiation:
         # ...and renegotiation still works.
         again = negotiate(client, "Server", parse_literal('resource("Client")'))
         assert again.granted
-
-    def test_audit_trail_records_grant_and_token(self, granted_world):
-        from repro.negotiation.audit import AuditTrail
-
-        world, server, client, result = granted_world
-        trail = AuditTrail(server.name)
-        trail.record(result.session.id, "granted", client.name,
-                     str(result.answered_literal))
-        token = issue_token(server.keys, result.answered_literal,
-                            holder=client.name)
-        trail.record(result.session.id, "token-issued", client.name,
-                     token.serial[:12])
-        assert trail.count("granted") == 1
-        assert trail.count("token-issued") == 1

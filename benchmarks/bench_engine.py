@@ -75,21 +75,6 @@ def test_e7_tabled_sld(benchmark):
             "table hits": engine.stats.table_hits,
             "wall_ms": round(elapsed_ms, 2),
         })
-
-    # Replay: a second identical query against the tabled engine.
-    engine = SLDEngine(KnowledgeBase(parse_program(program_text)),
-                       tabled=True, max_depth=4000)
-    engine.query(goals)
-    started = time.perf_counter()
-    engine.query(goals)
-    replay_ms = (time.perf_counter() - started) * 1000
-    rows.append({
-        "mode": "tabled (replay)",
-        "answers": 16,
-        "resolutions": 0,
-        "table hits": engine.stats.table_hits,
-        "wall_ms": round(replay_ms, 2),
-    })
     print_table(rows, title="E7c - top-down evaluation modes")
 
     def tabled_query():

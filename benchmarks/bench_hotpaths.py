@@ -1,6 +1,6 @@
 """E13 — Hot-path caches: before/after microbenchmarks.
 
-Measures the four optimisation layers introduced by the hot-path pass, each
+Measures the three optimisation layers introduced by the hot-path pass, each
 as a *before vs after* pair so the speedup is computed inside one process on
 one machine:
 
@@ -13,8 +13,6 @@ one machine:
   (free enrollment via the IBM employee credential);
 - ``delegation_sweep``    — grid-style delegation chains of increasing
   depth, cold caches per negotiation vs warm;
-- ``tabled_requery``      — a tabled transitive-closure query repeated
-  against one engine, cross-query table retention off vs on;
 - ``interning_unify``     — ground-term unification with hash-consing
   disabled vs enabled (identity fast path).
 
@@ -40,9 +38,8 @@ from repro.crypto import rsa
 from repro.crypto.canonical import clear_canonical_bytes_cache
 from repro.crypto.keys import keypair_for
 from repro.credentials.credential import issue_credential, verify_credential
-from repro.datalog.knowledge import KnowledgeBase
-from repro.datalog.parser import parse_goals, parse_literal, parse_program, parse_rule
-from repro.datalog.sld import SLDEngine, clear_canonical_cache
+from repro.datalog.parser import parse_literal, parse_rule
+from repro.datalog.sld import clear_canonical_cache
 from repro.datalog.terms import atom, number, set_interning, struct
 from repro.datalog.unify import unify
 from repro.negotiation.strategies import negotiate
@@ -232,37 +229,6 @@ def bench_delegation_sweep(quick: bool) -> dict:
     }
 
 
-def bench_tabled_requery(quick: bool) -> dict:
-    repeats = 5 if quick else 20
-    length, components = (24, 4) if quick else (40, 6)
-    lines = []
-    for component in range(components):
-        for index in range(length):
-            lines.append(f"edge(c{component}_{index}, c{component}_{index + 1}).")
-    lines.append("path(X, Y) <- edge(X, Y).")
-    lines.append("path(X, Y) <- edge(X, Z), path(Z, Y).")
-    program = parse_program("\n".join(lines))
-    goals = parse_goals("path(c0_0, W)")
-
-    fresh = SLDEngine(KnowledgeBase(program), tabled=True, max_depth=4000,
-                      retain_tables=False)
-    fresh.query(goals)  # warm the parse/intern layers symmetrically
-    before_ms = _time(lambda: fresh.query(goals), repeats)
-
-    retained = SLDEngine(KnowledgeBase(program), tabled=True, max_depth=4000,
-                         retain_tables=True)
-    retained.query(goals)
-    after_ms = _time(lambda: retained.query(goals), repeats)
-    assert retained.stats.table_reuse > 0
-    return {
-        "benchmark": "tabled_requery",
-        "repeats": repeats,
-        "before_ms": round(before_ms, 3),
-        "after_ms": round(after_ms, 3),
-        "speedup": round(before_ms / after_ms, 2) if after_ms else float("inf"),
-    }
-
-
 def bench_interning_unify(quick: bool) -> dict:
     repeats = 200 if quick else 1000
 
@@ -298,7 +264,6 @@ BENCHMARKS = (
     bench_scenario1_requery,
     bench_scenario2_requery,
     bench_delegation_sweep,
-    bench_tabled_requery,
     bench_interning_unify,
 )
 
@@ -342,7 +307,6 @@ def check_shape(rows: list[dict]) -> None:
     headline = ("credential_verify", "scenario1_requery", "delegation_sweep")
     fast = [name for name in headline if by_name[name]["speedup"] >= 1.5]
     assert len(fast) >= 2, f"expected >=1.5x on two headline benches, got {by_name}"
-    assert by_name["tabled_requery"]["speedup"] > 1.0
 
 
 def test_e13_hotpath_caches():

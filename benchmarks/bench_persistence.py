@@ -3,19 +3,13 @@
 The storage layer's contract is "cheap when on, paying rent when it
 matters": per-event store writes must not change the shape of a
 negotiation's cost, and what they buy — warm restarts — must beat
-re-deriving from scratch.  Four rows quantify that:
+starting cold.  Three rows quantify that:
 
 **Store overhead** — scenario-2 free enrollment with no stores vs with
 per-peer memory stores vs with durable (journal+snapshot) stores in a
 temp directory.  The ``speedup`` is t_off/t_on: 1.0 means free, lower
 means the store taxes the negotiation.  The regress gate holds the ratio
 against the committed baseline.
-
-**Warm table restart** — a tabled ``path`` chain is solved cold, its
-answer tables saved to a store, and a fresh engine restores them
-(``load_answer_tables``) and re-queries.  ``speedup`` is
-t_cold / t_(load+query): restoring pool-encoded proof DAGs must beat
-re-running the fixpoint, and the margin grows with chain length.
 
 **Warm delta restart** — a repeat query to a restarted responder with
 disclosure deltas on.  With a store the restored wire ledger lets round
@@ -34,18 +28,11 @@ import time
 from pathlib import Path
 
 from repro.bench.reporting import format_table
-from repro.datalog.knowledge import KnowledgeBase
-from repro.datalog.parser import parse_literal, parse_program
-from repro.datalog.sld import SLDEngine
+from repro.datalog.parser import parse_literal
 from repro.determinism import reset_all
 from repro.net.message import QueryMessage
 from repro.scenarios.services import build_scenario2, run_free_enrollment
-from repro.storage import MemoryStore
-from repro.storage.recovery import (
-    load_answer_tables,
-    restart_peer,
-    save_answer_tables,
-)
+from repro.storage.recovery import restart_peer
 
 REPORT_PATH = Path(__file__).resolve().parent / "reports" / "bench_persistence.json"
 TRAJECTORY = "BENCH_PERSISTENCE_V1"
@@ -53,10 +40,6 @@ TRAJECTORY = "BENCH_PERSISTENCE_V1"
 REPEATS = 5
 QUICK_REPEATS = 2
 KEY_BITS = 512
-# Same chain length in quick and full runs: the warm/cold ratio grows with
-# chain length, so shrinking it under --quick would undercut the committed
-# baseline rather than just adding noise.
-CHAIN_EDGES = 60
 
 
 # ---------------------------------------------------------------------------
@@ -105,50 +88,6 @@ def run_store_overhead(repeats: int) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Warm restart of retained answer tables
-# ---------------------------------------------------------------------------
-
-def _chain_fixture(edges: int):
-    source = "\n".join(f"edge(n{i}, n{i + 1})." for i in range(edges))
-    source += ("\npath(X, Y) <- edge(X, Y)."
-               "\npath(X, Z) <- edge(X, Y), path(Y, Z).")
-    kb = KnowledgeBase(parse_program(source))
-    return kb, parse_literal("path(n0, X)")
-
-
-def run_warm_tables(repeats: int, edges: int) -> dict:
-    best_cold = best_warm = float("inf")
-    patterns = pool_nodes = 0
-    for _ in range(repeats):
-        kb, goal = _chain_fixture(edges)
-        cold_engine = SLDEngine(kb, tabled=True)
-        started = time.perf_counter()
-        cold_answers = cold_engine.query([goal])
-        best_cold = min(best_cold, time.perf_counter() - started)
-
-        store = MemoryStore()
-        patterns = save_answer_tables(cold_engine, store)
-        pool_nodes = len(store.get("tables", "answer_tables")["proofs"])
-
-        warm_engine = SLDEngine(kb, tabled=True)
-        started = time.perf_counter()
-        load_answer_tables(warm_engine, store)
-        warm_answers = warm_engine.query([goal])
-        best_warm = min(best_warm, time.perf_counter() - started)
-        assert len(warm_answers) == len(cold_answers) == edges
-        assert warm_engine.stats.table_hits >= 1
-    return {
-        "benchmark": "warm_restart_tables",
-        "chain_edges": edges,
-        "patterns": patterns,
-        "pool_nodes": pool_nodes,
-        "cold_ms": round(best_cold * 1000, 3),
-        "warm_ms": round(best_warm * 1000, 3),
-        "speedup": round(best_cold / best_warm, 3) if best_warm else 1.0,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Warm restart of disclosure-delta ledgers
 # ---------------------------------------------------------------------------
 
@@ -193,7 +132,6 @@ def run_warm_deltas() -> dict:
 def run_suite(quick: bool = False) -> list[dict]:
     repeats = QUICK_REPEATS if quick else REPEATS
     rows = run_store_overhead(repeats)
-    rows.append(run_warm_tables(repeats, CHAIN_EDGES))
     rows.append(run_warm_deltas())
     return rows
 
@@ -202,8 +140,7 @@ def summary_rows(rows: list[dict]) -> list[dict]:
     summary = []
     for row in rows:
         entry = {"benchmark": row["benchmark"]}
-        for key in ("off_ms", "on_ms", "cold_ms", "warm_ms", "chain_edges",
-                    "patterns", "pool_nodes", "cold_round2_bytes",
+        for key in ("off_ms", "on_ms", "cold_round2_bytes",
                     "warm_round2_bytes", "speedup"):
             if key in row:
                 entry[key] = row[key]
@@ -214,9 +151,6 @@ def summary_rows(rows: list[dict]) -> list[dict]:
 def test_persistence_overhead_and_warm_restart():
     """Pytest entry: the acceptance floors of the robustness PR."""
     rows = {row["benchmark"]: row for row in run_suite(quick=True)}
-    # Restoring saved tables must beat re-deriving the fixpoint.
-    assert rows["warm_restart_tables"]["speedup"] > 1.2, \
-        rows["warm_restart_tables"]
     # A restored ledger shrinks the repeat answer to a reference.
     assert rows["warm_restart_deltas"]["speedup"] > 1.5, \
         rows["warm_restart_deltas"]

@@ -9,9 +9,9 @@ a slower CI runner slows the "before" and "after" sides equally.
 
 A benchmark regresses when its current speedup falls below 80% of its
 baseline speedup.  Baselines are capped at 3.0x before applying the
-tolerance: some caches (cross-query tabling) are effectively infinite
-speedups whose exact ratio is noise, and we only need to know the cache
-still *works*, not that it is precisely 35x.
+tolerance: some caches (the signature cache on re-verification) give
+large speedups whose exact ratio is noise, and we only need to know the
+cache still *works*, not that it is precisely 6x.
 
 Usage::
 
@@ -61,9 +61,9 @@ GATES = (
     # traces serialised byte-identically, so its 0.8 floor fails the run
     # on any divergence.
     (bench_obs, "observability (E16)", "observability"),
-    # E17: store-overhead t_off/t_on wall ratios (near 1.0), warm restarts
-    # beating cold re-derivation, and a deterministic wire-size ratio whose
-    # floor catches a broken ledger restore.
+    # E17: store-overhead t_off/t_on wall ratios (near 1.0) and a
+    # deterministic wire-size ratio whose floor catches a broken ledger
+    # restore.
     (bench_persistence, "persistence (E17)", "persistence"),
     # E18: mutual-recursion rows carry 1.0 iff gem produced the exact
     # expected answer relation (0.0 otherwise, which always fails), and the

@@ -185,7 +185,6 @@ def _print_cache_stats(out, session=None) -> None:
     print(f"  sig_cache_hits:  {snap['peertrust_sig_cache_hits_total']} "
           f"({snap['peertrust_sig_cache_misses_total']} misses, "
           f"{snap['peertrust_sig_cache_size']} cached)", file=out)
-    print(f"  table_reuse:     {snap['peertrust_table_reuse_total']}", file=out)
     print(f"  canonical_hits:  {snap['peertrust_canonical_hits_total']} "
           f"({snap['peertrust_canonical_misses_total']} misses)",
           file=out)
@@ -468,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_stats_option(sub) -> None:
         sub.add_argument("--stats", action="store_true",
                          help="print hot-path cache counters "
-                              "(interning, signature cache, table reuse)")
+                              "(interning, signature cache, canonical forms)")
 
     def add_obs_options(sub) -> None:
         group = sub.add_argument_group(

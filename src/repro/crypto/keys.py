@@ -91,9 +91,6 @@ class KeyRing:
             raise KeyError_(f"no trusted key for principal {principal!r}")
         return key
 
-    def maybe_get(self, principal: str) -> Optional[PublicKey]:
-        return self._keys.get(principal)
-
     def __contains__(self, principal: str) -> bool:
         return principal in self._keys
 

@@ -128,18 +128,9 @@ class KnowledgeBase:
         self._content: dict[tuple[str, int], _PredicateBucket] = {}
         self._release: dict[tuple[str, int], list[Rule]] = defaultdict(list)
         self._count = 0
-        # Bumped on every successful mutation; engines compare it against
-        # the generation their memo tables were built at, so retained
-        # answer tables can never serve stale derivations.
-        self._generation = 0
         if rules:
             for rule in rules:
                 self.add(rule)
-
-    @property
-    def generation(self) -> int:
-        """Monotone mutation counter (cache-invalidation stamp)."""
-        return self._generation
 
     # -- mutation ---------------------------------------------------------------
 
@@ -154,7 +145,6 @@ class KnowledgeBase:
                 bucket = self._content[rule.head.indicator] = _PredicateBucket()
             bucket.add(rule)
         self._count += 1
-        self._generation += 1
 
     def add_all(self, rules: Iterable[Rule]) -> None:
         for rule in rules:
@@ -175,13 +165,11 @@ class KnowledgeBase:
             if rule in policies:
                 policies.remove(rule)
                 self._count -= 1
-                self._generation += 1
                 return True
             return False
         bucket = self._content.get(rule.head.indicator)
         if bucket is not None and bucket.remove(rule):
             self._count -= 1
-            self._generation += 1
             return True
         return False
 

@@ -17,14 +17,14 @@ peers; the local engine stays ignorant of networking.
 **Tabling.**  With ``tabled=True``, repeated calls (up to variable renaming)
 consume memoised answers, and :meth:`SLDEngine.query` iterates to a fixpoint
 so left-recursive Datalog (``path(X,Y) <- path(X,Z), edge(Z,Y)``) terminates
-with complete answers — an OLDT-style evaluation.  With ``tabled=False``,
-re-entrant calls simply fail (cycle pruning), which is what the negotiation
-engine wants: its own session-level loop detection governs termination.
+with complete answers — an OLDT-style evaluation.  Tables live for one
+top-level query.  With ``tabled=False``, re-entrant calls simply fail (cycle
+pruning), which is what the negotiation engine wants: its own session-level
+loop detection governs termination.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
@@ -39,17 +39,11 @@ from repro.errors import BuiltinError, DepthLimitExceeded, EvaluationError
 from repro.obs import trace as _trace
 from repro.obs.metrics import global_registry
 
-# Process-wide engine counters, aggregated across every SLDEngine instance
-# (negotiations create short-lived engines per evaluation context, so
-# per-instance stats alone cannot answer "how often did caches help this
-# run?").  Surfaced by ``peertrust ... --stats``.
-GLOBAL_COUNTERS: Counter = Counter()
-
 # Per-engine SLDStats fields folded into the process-wide registry once per
 # top-level query (engines are short-lived; the registry keeps the totals).
 _ENGINE_FIELDS = ("resolutions", "builtin_calls", "table_hits",
-                  "depth_cutoffs", "fixpoint_passes", "table_reuse",
-                  "intern_hits", "sig_cache_hits")
+                  "depth_cutoffs", "fixpoint_passes", "intern_hits",
+                  "sig_cache_hits")
 _ENGINE_OPS = global_registry().counter(
     "peertrust_engine_ops_total",
     help="SLD engine operations, folded per top-level query",
@@ -170,8 +164,6 @@ class Solution:
 class SLDStats:
     """Engine counters, reset per :class:`SLDEngine` instance.
 
-    ``table_reuse`` counts goals served from answer tables *retained from an
-    earlier query* (cross-query reuse), a subset of ``table_hits``.
     ``intern_hits`` is the number of term-intern-table hits observed while
     this engine's queries ran (the intern table itself is process-wide).
     ``sig_cache_hits`` is filled in by the layers above the logic engine
@@ -183,7 +175,6 @@ class SLDStats:
     table_hits: int = 0
     depth_cutoffs: int = 0
     fixpoint_passes: int = 0
-    table_reuse: int = 0
     intern_hits: int = 0
     sig_cache_hits: int = 0
 
@@ -265,13 +256,6 @@ class SLDEngine:
         ``strict_depth`` is set, in which case it raises.
     tabled:
         Memoise answers per call pattern and iterate queries to fixpoint.
-    retain_tables:
-        Keep saturated answer tables across :meth:`query` calls so a
-        repeated query replays memoised answers instead of re-deriving.
-        Defaults to the value of ``tabled``.  Retained tables are stamped
-        with the knowledge base's generation counter and dropped
-        automatically when the KB mutates — reuse can never serve stale
-        answers.
     dispatch:
         Optional interception hook (see module docstring).
     """
@@ -285,13 +269,11 @@ class SLDEngine:
         strict_depth: bool = False,
         dispatch: Optional[Dispatcher] = None,
         rule_transform: Optional[Callable[[Rule], Rule]] = None,
-        retain_tables: Optional[bool] = None,
     ) -> None:
         self.kb = kb
         self.builtins = builtins if builtins is not None else DEFAULT_REGISTRY
         self.max_depth = max_depth
         self.tabled = tabled
-        self.retain_tables = tabled if retain_tables is None else retain_tables
         self.strict_depth = strict_depth
         self.dispatch = dispatch
         # Applied to every clause before it is renamed apart; the negotiation
@@ -306,18 +288,12 @@ class SLDEngine:
         # whatever the hook prefetched.  None = zero overhead.
         self.gather_hook: Optional[Callable] = None
         self.stats = SLDStats()
-        # Answer tables: call-pattern key -> {answer key: (answer, proof)}.
-        # The inner dict preserves insertion order for fair replay and makes
-        # duplicate detection O(1) instead of a rescan per recorded answer.
+        # Answer tables for the current top-level query: call-pattern key ->
+        # {answer key: (answer, proof)}.  The inner dict preserves insertion
+        # order for fair replay and makes duplicate detection O(1) instead of
+        # a rescan per recorded answer.
         self._tables: dict[tuple, dict[tuple, tuple[Literal, ProofNode]]] = {}
-        # Call-pattern key -> the resolved goal it was built for; lets
-        # export_tables() write keys in a textual, hash-seed-independent
-        # form that import_tables() can recanonicalise after a restart.
-        self._table_goals: dict[tuple, Literal] = {}
         self._active: set[tuple] = set()
-        self._completed: set[tuple] = set()
-        self._retained: frozenset[tuple] = frozenset()
-        self._kb_generation = kb.generation
         self._table_grew = False
         self._reentered = False
 
@@ -364,7 +340,7 @@ class SLDEngine:
         for goal in goal_list:
             query_vars |= goal.variables()
 
-        self._sync_tables()
+        self._tables.clear()
         intern_hits_before = INTERN_STATS.hits
         answers: dict[tuple, Solution] = {}
         while True:
@@ -386,10 +362,6 @@ class SLDEngine:
                     return list(answers.values())
             if not (self.tabled and self._table_grew and self._reentered):
                 break
-        if self.tabled:
-            # At fixpoint every memo table is saturated for the current KB;
-            # later queries may replay them without re-deriving.
-            self._completed.update(self._tables)
         self.stats.intern_hits += INTERN_STATS.hits - intern_hits_before
         solutions = list(answers.values())
         if max_solutions is not None:
@@ -418,7 +390,6 @@ class SLDEngine:
             raise EvaluationError("iter_query does not support tabled engines")
         base = subst if subst is not None else Substitution.empty()
         goal_list = tuple(goals)
-        self._sync_tables()
         intern_hits_before = INTERN_STATS.hits
         marks = _stats_marks(self.stats)
         self.stats.fixpoint_passes += 1
@@ -464,7 +435,7 @@ class SLDEngine:
         streaming interface for stratified/non-recursive goals.
         """
         base = subst if subst is not None else Substitution.empty()
-        self._sync_tables()
+        self._tables.clear()
         for item in self._solve(tuple(goals), base, 0):
             if isinstance(item, Suspension):
                 raise EvaluationError(
@@ -484,24 +455,6 @@ class SLDEngine:
         Public for negotiation dispatchers that need to prove credential
         rule bodies or reduced goals inside an ongoing resolution."""
         yield from self._solve(tuple(goals), subst, depth)
-
-    def _sync_tables(self) -> None:
-        """Prepare memo tables for a fresh top-level evaluation.
-
-        Drops them when the KB has mutated since they were built (stale) or
-        when cross-query retention is disabled; otherwise marks the already
-        completed call patterns as *retained* so replays from them can be
-        attributed to cross-query reuse in the stats.
-        """
-        generation = self.kb.generation
-        if generation != self._kb_generation:
-            self.clear_tables()
-            self._kb_generation = generation
-        elif not self.retain_tables:
-            self._tables.clear()
-            self._table_goals.clear()
-            self._completed.clear()
-        self._retained = frozenset(self._completed)
 
     # -- core resolution -------------------------------------------------------
 
@@ -607,30 +560,13 @@ class SLDEngine:
         if tracer is not None:
             tracer.event("engine.goal", goal=str(resolved_goal), depth=depth)
 
-        if self.tabled and key in self._completed:
-            if tracer is not None:
-                tracer.event("engine.table", goal=str(resolved_goal),
-                             hit=True, reuse=key in self._retained)
-            if key in self._retained:
-                self.stats.table_reuse += 1
-                GLOBAL_COUNTERS["table_reuse"] += 1
-            table = self._tables.get(key)
-            for answer, answer_proof in (table.values() if table else ()):
-                self.stats.table_hits += 1
-                renamed = answer.rename({})
-                unified = unify_literals(goal, renamed, subst)
-                if unified is not None:
-                    yield unified, ProofNode(goal.apply(unified), "table",
-                                             children=(answer_proof,))
-            return
-
         if key in self._active:
             # Re-entrant call: replay table answers (tabled) or prune (untabled).
             self._reentered = True
             if self.tabled:
                 if tracer is not None:
                     tracer.event("engine.table", goal=str(resolved_goal),
-                                 hit=True, reuse=False)
+                                 hit=True)
                 table = self._tables.get(key)
                 for answer, answer_proof in (list(table.values()) if table else ()):
                     self.stats.table_hits += 1
@@ -645,7 +581,6 @@ class SLDEngine:
         try:
             if self.tabled:
                 table = self._tables.setdefault(key, {})
-                self._table_goals.setdefault(key, resolved_goal)
             else:
                 table = None
             for rule in list(self.kb.rules_for(resolved_goal)):
@@ -730,80 +665,3 @@ class SLDEngine:
         finally:
             source.close()
         yield subst, ProofNode(goal.apply(subst), "negation")
-
-    # -- maintenance -------------------------------------------------------------
-
-    def clear_tables(self) -> None:
-        """Drop memoised answers.
-
-        Called automatically when the KB's generation counter moves; still
-        public for callers that want a cold engine regardless.
-        """
-        self._tables.clear()
-        self._table_goals.clear()
-        self._completed.clear()
-        self._retained = frozenset()
-        self._kb_generation = self.kb.generation
-
-    def kb_fingerprint(self) -> str:
-        """Content hash of the current rule set.  Generation counters are
-        per-process and restart at zero, so exported tables carry this
-        instead: a restarted engine only accepts tables built over an
-        identical knowledge base."""
-        import hashlib
-
-        text = "\n".join(sorted(str(rule) for rule in self.kb.rules()))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def export_tables(self) -> dict:
-        """Snapshot the *completed* answer tables as plain data (textual
-        goals/answers plus proof trees via :mod:`repro.storage.codec`), for
-        persistence in a state store.  In-progress tables are skipped: they
-        are unsound to replay as if saturated.
-
-        Proof trees are pool-encoded (``"proofs"`` holds the node pool,
-        answers are node indices) so the heavy structural sharing of tabled
-        proof DAGs survives serialisation instead of exploding
-        combinatorially.  Each answer literal *is* its proof root's goal,
-        so rows carry only the index — the importer recovers the answer
-        from the decoded proof without a second parse."""
-        from repro.storage.codec import ProofEncoder
-
-        encoder = ProofEncoder()
-        tables: dict[str, list] = {}
-        for key in self._completed:
-            goal = self._table_goals.get(key)
-            table = self._tables.get(key)
-            if goal is None or table is None:
-                continue
-            tables[str(goal)] = [
-                encoder.encode(proof) for _answer, proof in table.values()
-            ]
-        return {"kb_fingerprint": self.kb_fingerprint(),
-                "proofs": encoder.nodes, "tables": tables}
-
-    def import_tables(self, data: dict) -> int:
-        """Restore tables exported by :meth:`export_tables` into this
-        engine; returns how many call patterns were adopted.  A knowledge
-        base fingerprint mismatch adopts nothing — stale memo tables are
-        silently discarded rather than trusted."""
-        from repro.datalog.parser import parse_literal
-        from repro.storage.codec import ProofDecoder
-
-        if not self.tabled or data.get("kb_fingerprint") != self.kb_fingerprint():
-            return 0
-        decoder = ProofDecoder(data.get("proofs", []))
-        adopted = 0
-        for goal_text, rows in data.get("tables", {}).items():
-            goal = parse_literal(goal_text)
-            key = canonical_literal(goal)
-            table = self._tables.setdefault(key, {})
-            self._table_goals.setdefault(key, goal)
-            for proof_index in rows:
-                proof = decoder.decode(proof_index)
-                answer = proof.goal
-                table[canonical_literal(answer)] = (answer, proof)
-            self._completed.add(key)
-            adopted += 1
-        self._kb_generation = self.kb.generation
-        return adopted

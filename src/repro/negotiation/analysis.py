@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.datalog.ast import Literal
+from repro.datalog.parser import parse_literal
 from repro.workloads.generator import Workload
 from repro.workloads.metrics import measure_negotiation
 
@@ -108,10 +109,9 @@ def _queried_predicates(workload: Workload, strategy: str) -> set[tuple[str, str
     if result.session is None:
         return queried
     for event in result.session.events("query"):
-        # detail is the rendered goal; recover the indicator from the text.
-        predicate = event.detail.split("(")[0].strip()
-        arity = event.detail.count(",") + 1 if "(" in event.detail else 0
-        queried.add((event.counterpart, predicate, arity))
+        # detail is the rendered goal; parse it back for the indicator.
+        goal = parse_literal(event.detail)
+        queried.add((event.counterpart, goal.predicate, len(goal.args)))
     return queried
 
 

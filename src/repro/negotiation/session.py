@@ -22,7 +22,6 @@ experiments need to observe.
 from __future__ import annotations
 
 import itertools
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
@@ -353,33 +352,18 @@ class SessionTable:
     """Transport-wide registry so both peers of an in-process negotiation
     share one :class:`Session` object.
 
-    Storage is **sharded** by a stable hash of the session id
-    (``zlib.crc32`` — deliberately *not* the builtin ``hash``, whose
-    ``PYTHONHASHSEED`` dependence would let shard placement vary between
-    processes and break the byte-identical-trace contract).  Sharding keeps
-    per-shard dictionaries small under fleet-scale session counts and gives
-    snapshot/restore a natural partitioning unit; lookup cost is one crc32
-    plus one dict probe.
-
+    Sessions live in one insertion-ordered dict keyed by session id.
     ``capacity`` bounds the number of live sessions: creating one beyond it
-    evicts the oldest (global insertion order, tracked across shards —
-    sessions finish roughly in the order they start).  ``on_evict`` is
-    invoked with the session id whenever a session leaves the table, by
-    eviction *or* :meth:`forget`, so owners of per-session caches (the
-    transport's reply / oneway dedup caches, a scheduler's continuation
-    tables, per-peer state stores) can drop their entries and long-running
-    workloads stay bounded."""
-
-    SHARD_COUNT = 8
+    evicts the oldest (sessions finish roughly in the order they start).
+    ``on_evict`` is invoked with the session id whenever a session leaves
+    the table, by eviction *or* :meth:`forget`, so owners of per-session
+    caches (the transport's reply / oneway dedup caches, a scheduler's
+    continuation tables, per-peer state stores) can drop their entries and
+    long-running workloads stay bounded."""
 
     def __init__(self, capacity: Optional[int] = None,
-                 on_evict: Optional[Callable[[str], None]] = None,
-                 shard_count: int = SHARD_COUNT) -> None:
-        self._shards: tuple[dict[str, Session], ...] = tuple(
-            {} for _ in range(max(1, shard_count)))
-        # Global insertion order (sid -> shard index): eviction policy and
-        # iteration order must not depend on shard placement.
-        self._order: dict[str, int] = {}
+                 on_evict: Optional[Callable[[str], None]] = None) -> None:
+        self._sessions: dict[str, Session] = {}
         self.capacity = capacity
         self.on_evict = on_evict
         self.evictions = 0
@@ -388,48 +372,35 @@ class SessionTable:
         # new session so state-bearing events write through as they happen.
         self.persistence = None
 
-    def _shard_index(self, session_id: str) -> int:
-        return zlib.crc32(session_id.encode("utf-8")) % len(self._shards)
-
     def get_or_create(self, session_id: str, initiator: str,
                       max_nesting: int = 30) -> Session:
-        index = self._shard_index(session_id)
-        shard = self._shards[index]
-        session = shard.get(session_id)
+        session = self._sessions.get(session_id)
         if session is None:
-            session = shard[session_id] = Session(
+            session = self._sessions[session_id] = Session(
                 session_id, initiator, max_nesting)
-            self._order[session_id] = index
             if self.persistence is not None:
                 session.persistence = self.persistence
                 self.persistence.session_created(session)
             if self.capacity is not None:
-                while len(self._order) > self.capacity:
-                    oldest = next(iter(self._order))
-                    self._shards[self._order.pop(oldest)].pop(oldest, None)
+                while len(self._sessions) > self.capacity:
+                    oldest = next(iter(self._sessions))
+                    del self._sessions[oldest]
                     self.evictions += 1
                     if self.on_evict is not None:
                         self.on_evict(oldest)
         return session
 
     def get(self, session_id: str) -> Optional[Session]:
-        return self._shards[self._shard_index(session_id)].get(session_id)
+        return self._sessions.get(session_id)
 
     def forget(self, session_id: str) -> None:
-        index = self._order.pop(session_id, None)
-        if index is not None and self._shards[index].pop(session_id, None) is not None:
+        if self._sessions.pop(session_id, None) is not None:
             if self.on_evict is not None:
                 self.on_evict(session_id)
 
     def sessions(self) -> Iterator[Session]:
-        """Live sessions in global insertion order (recovery walks this)."""
-        for session_id, index in self._order.items():
-            session = self._shards[index].get(session_id)
-            if session is not None:
-                yield session
-
-    def shard_sizes(self) -> list[int]:
-        return [len(shard) for shard in self._shards]
+        """Live sessions in insertion order (recovery walks this)."""
+        yield from self._sessions.values()
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._sessions)

@@ -171,7 +171,6 @@ class Transport:
         drop: Optional[Callable[[Message], bool]] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
-        retain_sessions: bool = False,
         max_sessions: Optional[int] = None,
         max_in_flight: int = 1,
         disclosure_deltas: bool = False,
@@ -182,7 +181,6 @@ class Transport:
         self.drop = drop
         self.faults = faults
         self.retry = retry
-        self.retain_sessions = retain_sessions
         # Scatter-gather width: how many remote sub-queries one evaluation
         # may keep in flight concurrently (1 = strictly sequential).
         self.max_in_flight = max_in_flight
@@ -375,16 +373,14 @@ class Transport:
             self._persistence.session_evicted(session_id)
 
     def release_session(self, session_id: str) -> None:
-        """Negotiation finished: evict the session's reply cache and (unless
-        ``retain_sessions`` opts into post-hoc inspection via the table) the
+        """Negotiation finished: evict the session's reply cache and the
         session itself.  Results keep their own reference to the Session
         object, so transcripts stay readable after eviction."""
         # Purge unconditionally (the hook is idempotent): dedup caches exist
         # even for sessions that never entered the table.
         self._on_session_evicted(session_id)
         _FLIGHTREC.forget(session_id)
-        if not self.retain_sessions:
-            self.sessions.forget(session_id)
+        self.sessions.forget(session_id)
 
     def reset_stats(self) -> TransportStats:
         """Swap in fresh counters and return the old ones.  The monotonic

@@ -477,13 +477,6 @@ def install_default_collectors(registry: Optional[MetricsRegistry] = None) -> Me
         lambda: len(rsa._signature_cache), kind="gauge",
         help="entries currently in the signature verification cache")
 
-    from repro.datalog.sld import GLOBAL_COUNTERS
-
-    reg.register_callback(
-        "peertrust_table_reuse_total",
-        lambda: GLOBAL_COUNTERS.get("table_reuse", 0),
-        help="goals served from answer tables retained across queries")
-
     reg.register_callback(
         "peertrust_canonical_hits_total",
         lambda: canonical_cache_info().hits,

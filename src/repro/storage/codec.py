@@ -6,9 +6,8 @@ serialisation layer uses (``str(rule)`` / ``parse_rule``, ``str(literal)``
 in the parser suite), so store contents are inspectable JSON and survive
 process restarts regardless of hash seeds or object identities.
 
-Covered: credentials (delegated to :mod:`repro.serialize`), reply-cache
-messages (:class:`AnswerMessage` / :class:`PolicyMessage`), and proof
-trees (:class:`~repro.datalog.sld.ProofNode`) for retained answer tables.
+Covered: credentials (delegated to :mod:`repro.serialize`) and reply-cache
+messages (:class:`AnswerMessage` / :class:`PolicyMessage`).
 
 Import discipline: this module pulls in :mod:`repro.serialize` (which
 imports the peer layer), so the low-level modules it serves —
@@ -18,12 +17,7 @@ lazily, inside the persistence paths only.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from repro.datalog.ast import Literal
 from repro.datalog.parser import parse_literal, parse_rule, parse_term
-from repro.datalog.terms import Compound, Constant, Term, Variable
-from repro.datalog.sld import ProofNode
 from repro.errors import StorageError
 from repro.net.message import (
     AnswerItem,
@@ -37,73 +31,7 @@ from repro.serialize import credential_from_dict, credential_to_dict
 __all__ = [
     "credential_from_dict", "credential_to_dict",
     "message_to_dict", "message_from_dict",
-    "proof_to_dict", "proof_from_dict",
-    "ProofEncoder", "ProofDecoder",
-    "literal_to_text", "literal_from_text",
-    "term_to_data", "term_from_data",
-    "literal_to_data", "literal_from_data",
 ]
-
-
-def literal_to_text(literal: Literal) -> str:
-    return str(literal)
-
-
-def literal_from_text(text: str) -> Literal:
-    return parse_literal(text)
-
-
-# ---------------------------------------------------------------------------
-# Structured terms and literals
-#
-# The textual codecs above are the canonical inspectable forms, but parsing
-# runs the full lexer per call — far too slow for bulk paths like answer-table
-# import, where tens of thousands of literals are restored in one go.  These
-# structured forms rebuild terms directly (hitting the intern tables), an
-# order of magnitude faster, and preserve the atom/string distinction
-# explicitly instead of through quoting.
-# ---------------------------------------------------------------------------
-
-def term_to_data(term: Term) -> list:
-    if isinstance(term, Variable):
-        return ["v", term.name]
-    if isinstance(term, Constant):
-        return ["c", term.value, term.quoted]
-    if isinstance(term, Compound):
-        return ["f", term.functor, [term_to_data(arg) for arg in term.args]]
-    raise StorageError(f"cannot persist term {term!r}")
-
-
-def term_from_data(data: list) -> Term:
-    tag = data[0]
-    if tag == "v":
-        return Variable(data[1])
-    if tag == "c":
-        return Constant(data[1], quoted=data[2])
-    if tag == "f":
-        return Compound(data[1], tuple(term_from_data(arg)
-                                       for arg in data[2]))
-    raise StorageError(f"cannot restore term tagged {tag!r}")
-
-
-def literal_to_data(literal: Literal) -> dict:
-    data: dict[str, Any] = {"p": literal.predicate}
-    if literal.args:
-        data["a"] = [term_to_data(arg) for arg in literal.args]
-    if literal.authority:
-        data["at"] = [term_to_data(term) for term in literal.authority]
-    if literal.negated:
-        data["n"] = True
-    return data
-
-
-def literal_from_data(data: dict) -> Literal:
-    return Literal(
-        predicate=data["p"],
-        args=tuple(term_from_data(arg) for arg in data.get("a", ())),
-        authority=tuple(term_from_data(term) for term in data.get("at", ())),
-        negated=data.get("n", False),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,112 +126,3 @@ def message_from_dict(data: dict) -> Message:
             granted=data.get("granted", False),
         )
     raise StorageError(f"cannot restore a {kind!r} reply")
-
-
-# ---------------------------------------------------------------------------
-# Proof trees (retained answer tables)
-# ---------------------------------------------------------------------------
-
-class ProofEncoder:
-    """Pool-encode proof trees with structural sharing.
-
-    Tabled evaluation builds heavily shared proof DAGs — every answer for
-    ``path(X, Z)`` embeds the sub-proofs of shorter paths, and the same
-    node object appears under thousands of parents.  Serialising each tree
-    independently expands that sharing combinatorially (megabytes for a
-    60-edge chain); encoding each *object* once, with children as pool
-    indices, keeps the persisted form proportional to the unique-node
-    count."""
-
-    def __init__(self) -> None:
-        self.nodes: list[dict] = []
-        self._index: dict[int, int] = {}
-
-    def encode(self, proof: ProofNode) -> int:
-        """Add ``proof`` (and, recursively, its children) to the pool;
-        returns its node index."""
-        memoised = self._index.get(id(proof))
-        if memoised is not None:
-            return memoised
-        children = [self.encode(child) for child in proof.children]
-        node: dict[str, Any] = {"goal": literal_to_data(proof.goal),
-                                "kind": proof.kind}
-        if proof.rule is not None:
-            node["rule"] = str(proof.rule)
-        if proof.peer is not None:
-            node["peer"] = proof.peer
-        if proof.credential is not None:
-            node["credential"] = credential_to_dict(proof.credential)
-        if children:
-            node["children"] = children
-        index = self._index[id(proof)] = len(self.nodes)
-        self.nodes.append(node)
-        return index
-
-
-class ProofDecoder:
-    """Decode a :class:`ProofEncoder` pool back into shared
-    :class:`ProofNode` objects.  Goals are rebuilt structurally (no lexer);
-    rule texts repeat massively across a pool, so their parses are memoised
-    per decoder."""
-
-    def __init__(self, nodes: list[dict]) -> None:
-        self._nodes = nodes
-        self._decoded: dict[int, ProofNode] = {}
-        self._rules: dict[str, Any] = {}
-
-    def _rule(self, text: str):
-        rule = self._rules.get(text)
-        if rule is None:
-            rule = self._rules[text] = parse_rule(text)
-        return rule
-
-    def decode(self, index: int) -> ProofNode:
-        decoded = self._decoded.get(index)
-        if decoded is not None:
-            return decoded
-        data = self._nodes[index]
-        rule_text = data.get("rule")
-        credential_data = data.get("credential")
-        decoded = self._decoded[index] = ProofNode(
-            goal=literal_from_data(data["goal"]),
-            kind=data["kind"],
-            rule=self._rule(rule_text) if rule_text is not None else None,
-            children=tuple(self.decode(child)
-                           for child in data.get("children", ())),
-            peer=data.get("peer"),
-            credential=(credential_from_dict(credential_data)
-                        if credential_data is not None else None),
-        )
-        return decoded
-
-
-def proof_to_dict(proof: ProofNode) -> dict:
-    node: dict[str, Any] = {
-        "goal": str(proof.goal),
-        "kind": proof.kind,
-    }
-    if proof.rule is not None:
-        node["rule"] = str(proof.rule)
-    if proof.peer is not None:
-        node["peer"] = proof.peer
-    if proof.credential is not None:
-        node["credential"] = credential_to_dict(proof.credential)
-    if proof.children:
-        node["children"] = [proof_to_dict(child) for child in proof.children]
-    return node
-
-
-def proof_from_dict(data: dict) -> ProofNode:
-    rule_text: Optional[str] = data.get("rule")
-    credential_data = data.get("credential")
-    return ProofNode(
-        goal=parse_literal(data["goal"]),
-        kind=data["kind"],
-        rule=parse_rule(rule_text) if rule_text is not None else None,
-        children=tuple(proof_from_dict(child)
-                       for child in data.get("children", ())),
-        peer=data.get("peer"),
-        credential=(credential_from_dict(credential_data)
-                    if credential_data is not None else None),
-    )

@@ -374,32 +374,6 @@ def schedule_crash_restart(transport, peer_name: str, at_ms: float,
                        f"restart {peer_name}", _restart)
 
 
-def save_answer_tables(engine, store: StateStore,
-                       namespace: str = "tables") -> int:
-    """Persist an engine's completed memo tables (see
-    :meth:`SLDEngine.export_tables`); returns the call-pattern count.  The
-    export replaces the namespace wholesale — retention semantics live in
-    the engine, not the store."""
-    data = engine.export_tables()
-    store.drop(namespace)
-    store.put(namespace, "answer_tables", data)
-    return len(data["tables"])
-
-
-def load_answer_tables(engine, store: StateStore,
-                       namespace: str = "tables") -> int:
-    """Restore persisted memo tables into ``engine`` (a warm-start of the
-    tabled evaluator); returns adopted call patterns — zero when nothing was
-    saved or the knowledge base has since changed (fingerprint mismatch)."""
-    data = store.get(namespace, "answer_tables")
-    if data is None:
-        return 0
-    adopted = engine.import_tables(data)
-    if adopted:
-        RESTORED_ITEMS.labels("table").inc(adopted)
-    return adopted
-
-
 def stale_session_namespaces(store: StateStore) -> list[str]:
     """Session-scoped namespaces present in ``store`` (diagnostics: after a
     clean run with every session released these should be empty)."""

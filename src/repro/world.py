@@ -35,13 +35,10 @@ class World:
                  latency: Optional[LatencyModel] = None,
                  use_key_cache: bool = True,
                  faults: Optional[FaultPlan] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 retain_sessions: bool = False) -> None:
+                 retry: Optional[RetryPolicy] = None) -> None:
         self.key_bits = key_bits
         self.use_key_cache = use_key_cache
-        self.transport = Transport(latency=latency, faults=faults,
-                                   retry=retry,
-                                   retain_sessions=retain_sessions)
+        self.transport = Transport(latency=latency, faults=faults, retry=retry)
         self.peers: dict[str, Peer] = {}
         self.issuers: dict[str, KeyPair] = {}
 

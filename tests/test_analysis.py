@@ -96,6 +96,23 @@ class TestRefusalAnalysis:
             lambda: build_delegation_chain(2, key_bits=KEY_BITS))
         assert all(i.predicate and i.arity >= 0 for i in impacts)
 
+    def test_arity_counts_arguments_not_commas(self):
+        """A compound argument's commas do not add to the arity."""
+        def build() -> Workload:
+            world = World(key_bits=KEY_BITS)
+            world.add_peer("Server",
+                           'open(X) <-{true} vouch(f(X, b)) @ "Client".')
+            client = world.add_peer(
+                "Client", "vouch(f(a, b)) $ true <- true. vouch(f(a, b)).")
+            world.distribute_keys()
+            return Workload(world, client, "Server", parse_literal("open(a)"),
+                            description="compound argument")
+
+        impacts = refusal_analysis(build)
+        vouch = [i for i in impacts if i.predicate == "vouch"]
+        assert [(i.peer, i.arity, i.breaks_negotiation) for i in vouch] == [
+            ("Client", 1, True)]
+
 
 class TestBehaviourLeakProbe:
     def _cannot(self) -> Workload:

@@ -59,8 +59,7 @@ class TestDemo:
         assert status == 0
         assert "granted:  True" in output
         assert "cache stats:" in output
-        for counter in ("intern_hits:", "sig_cache_hits:", "table_reuse:",
-                        "canonical_hits:"):
+        for counter in ("intern_hits:", "sig_cache_hits:", "canonical_hits:"):
             assert counter in output
 
     def test_stats_off_by_default(self):

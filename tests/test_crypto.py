@@ -162,9 +162,6 @@ class TestKeyRing:
         with pytest.raises(KeyError_):
             KeyRing().get("nobody")
 
-    def test_maybe_get_returns_none(self):
-        assert KeyRing().maybe_get("nobody") is None
-
     def test_conflicting_key_rejected(self, keypair):
         ring = KeyRing()
         ring.add(keypair.public)

@@ -371,12 +371,6 @@ class TestSessionLifecycle:
         transport.release_session("s1")
         assert len(transport.sessions) == 0
 
-    def test_retain_sessions_opts_out_of_eviction(self):
-        transport, _, _ = make_transport(retain_sessions=True)
-        transport.sessions.get_or_create("s1", "a")
-        transport.release_session("s1")
-        assert transport.sessions.get("s1") is not None
-
     def test_negotiations_do_not_grow_session_table(self):
         from repro import negotiate
 

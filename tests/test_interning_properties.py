@@ -1,21 +1,14 @@
-"""Property tests for term interning and cross-query table retention.
+"""Property tests for term interning.
 
 Interning (hash-consing) is an *optimisation*, not a semantic feature: a
 term built while interning is disabled must be indistinguishable — under
 equality, hashing, unification, matching, variant checks, and substitution
 round-trips — from the interned term with the same spelling.  Hypothesis
 drives random term shapes through both construction modes.
-
-The retention half checks the cache-invalidation contract: an engine that
-retains answer tables across queries must drop them the moment its
-knowledge base changes, so a mutated KB can never serve stale answers.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.datalog.knowledge import KnowledgeBase
-from repro.datalog.parser import parse_goals, parse_program, parse_rule
-from repro.datalog.sld import SLDEngine
 from repro.datalog.terms import (
     Compound,
     Constant,
@@ -123,45 +116,3 @@ def test_substitution_round_trip_across_construction_modes(spec):
     assert binding.resolve(interned) == binding.resolve(structural)
     # Resolving against the empty substitution is the identity.
     assert Substitution.empty().resolve(structural) == interned
-
-
-# -- retained tables are invalidated by KB mutation ---------------------------
-
-
-def _edges(engine, goal_text):
-    return {str(sol.subst.resolve(Variable("W")))
-            for sol in engine.query(parse_goals(goal_text))}
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 6))
-def test_mutated_kb_invalidates_retained_tables(chain_length):
-    lines = [f"edge(n{i}, n{i + 1})." for i in range(chain_length)]
-    lines += ["path(X, Y) <- edge(X, Y).", "path(X, Y) <- edge(X, Z), path(Z, Y)."]
-    kb = KnowledgeBase(parse_program("\n".join(lines)))
-    engine = SLDEngine(kb, tabled=True, retain_tables=True, max_depth=500)
-
-    before = _edges(engine, "path(n0, W)")
-    assert f"n{chain_length}" in before
-
-    # Extend the chain: the retained tables must be dropped, not replayed.
-    kb.add(parse_rule(f"edge(n{chain_length}, n{chain_length + 1})."))
-    extended = _edges(engine, "path(n0, W)")
-    assert f"n{chain_length + 1}" in extended
-    assert extended == before | {f"n{chain_length + 1}"}
-
-    # Shrink it again: stale answers must not survive either.
-    kb.remove(parse_rule(f"edge(n{chain_length}, n{chain_length + 1})."))
-    assert _edges(engine, "path(n0, W)") == before
-
-
-def test_unchanged_kb_reuses_retained_tables():
-    program = parse_program(
-        "edge(a, b). edge(b, c). "
-        "path(X, Y) <- edge(X, Y). path(X, Y) <- edge(X, Z), path(Z, Y).")
-    engine = SLDEngine(KnowledgeBase(program), tabled=True, retain_tables=True)
-    first = _edges(engine, "path(a, W)")
-    assert engine.stats.table_reuse == 0
-    second = _edges(engine, "path(a, W)")
-    assert second == first
-    assert engine.stats.table_reuse > 0

@@ -53,16 +53,6 @@ class TestAddLookup:
             "a(1, first)", "a(X, second)", "a(1, third)",
             "a(Y, fourth)", "a(1, fifth)"]
 
-    def test_generation_bumps_on_mutation(self):
-        base = build("a(1).")
-        start = base.generation
-        rule = parse_rule("a(2).")
-        base.add(rule)
-        after_add = base.generation
-        assert after_add > start
-        base.remove(rule)
-        assert base.generation > after_add
-
 
 class TestReleaseSeparation:
     def test_release_policies_not_in_content(self):

@@ -279,7 +279,7 @@ class TestRegistry:
 class TestLegacySurfaces:
     def test_four_surfaces_match_registry(self):
         from repro.crypto.rsa import SIGNATURE_CACHE_STATS
-        from repro.datalog.sld import GLOBAL_COUNTERS
+        from repro.datalog.sld import canonical_cache_info
         from repro.datalog.terms import INTERN_STATS
         from repro.scenarios.services import build_scenario2, run_free_enrollment
 
@@ -290,16 +290,17 @@ class TestLegacySurfaces:
         registry = install_default_collectors(MetricsRegistry())
         snapshot = registry.snapshot()
 
-        # Interning + signature cache + tabling counters: identical values
-        # via the registry and via the legacy attribute access.
+        # Interning + signature cache + canonical-form counters: identical
+        # values via the registry and via the legacy attribute access.
         assert snapshot["peertrust_intern_hits_total"] == INTERN_STATS.hits
         assert snapshot["peertrust_intern_misses_total"] == INTERN_STATS.misses
         assert (snapshot["peertrust_sig_cache_hits_total"]
                 == SIGNATURE_CACHE_STATS.hits)
         assert (snapshot["peertrust_sig_cache_misses_total"]
                 == SIGNATURE_CACHE_STATS.misses)
-        assert (snapshot["peertrust_table_reuse_total"]
-                == GLOBAL_COUNTERS.get("table_reuse", 0))
+        canonical = canonical_cache_info()
+        assert snapshot["peertrust_canonical_hits_total"] == canonical.hits
+        assert snapshot["peertrust_canonical_misses_total"] == canonical.misses
 
         # Transport stats: the scenario's transport is weakly tracked; its
         # counters fold into the summed sourced metrics.
@@ -635,7 +636,6 @@ class TestCliObservability:
         assert status == 0
         assert "cache stats:" in output
         assert "intern_hits:" in output
-        assert "table_reuse:" in output
 
     def test_stats_flag_prints_negotiation_quantiles(self):
         status, output = run_cli("demo", "quickstart", "--stats")

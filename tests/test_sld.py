@@ -103,22 +103,6 @@ class TestRecursionTabling:
             "path(X, Y) <- path(X, Z), edge(Z, Y).", tabled=True)
         assert answers(engine, "path(a, W)", "W") == {"a", "b", "c"}
 
-    def test_completed_tables_replay(self, engine_for):
-        engine = engine_for(self.PATHS, tabled=True)
-        engine.query(parse_goals("path(a, W)"))
-        before = engine.stats.resolutions
-        engine.query(parse_goals("path(a, W)"))
-        assert engine.stats.resolutions == before  # pure replay
-        assert engine.stats.table_hits > 0
-
-    def test_clear_tables_forces_recompute(self, engine_for):
-        engine = engine_for(self.PATHS, tabled=True)
-        engine.query(parse_goals("path(a, W)"))
-        engine.clear_tables()
-        before = engine.stats.resolutions
-        engine.query(parse_goals("path(a, W)"))
-        assert engine.stats.resolutions > before
-
 
 class TestDepthBounds:
     INFINITE = "spin(X) <- spin(wrap(X))."

@@ -1,8 +1,8 @@
-"""Storage subsystem: backends, codecs, sharded sessions, crash recovery.
+"""Storage subsystem: backends, codecs, the session table, crash recovery.
 
 Covers the state-store contract both backends must satisfy, the durable
 backend's journal/snapshot recovery semantics (including torn trailing
-lines), the plain-data codecs, the sharded session table, and the full
+lines), the plain-data codecs, the session table, and the full
 crash → restart-from-store path with warm session re-attachment."""
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from repro.storage import (
 from repro.storage.recovery import (
     RecoveryReport,
     crash_peer,
-    load_answer_tables,
     recover_peer,
     restart_peer,
-    save_answer_tables,
     stale_session_namespaces,
 )
 
@@ -294,34 +292,19 @@ class TestCodec:
         with pytest.raises(StorageError):
             message_to_dict(query)
 
-    def test_proof_tree_roundtrip(self, engine_for):
-        from repro.storage.codec import proof_from_dict, proof_to_dict
-
-        engine = engine_for("p(X) <- q(X). q(1).")
-        solution = engine.query([parse_literal("p(X)")])[0]
-        proof = solution.proofs[0]
-        restored = proof_from_dict(proof_to_dict(proof))
-        assert str(restored.goal) == str(proof.goal)
-        assert restored.kind == proof.kind
-        assert len(restored.children) == len(proof.children)
-        assert str(restored.rule) == str(proof.rule)
-
 
 # ---------------------------------------------------------------------------
-# Sharded session table
+# Session table
 # ---------------------------------------------------------------------------
 
 
-class TestShardedSessionTable:
+class TestSessionTable:
     def test_lookup_across_shards(self):
         table = SessionTable()
         ids = [f"session-{n}" for n in range(40)]
         for session_id in ids:
             table.get_or_create(session_id, "A")
         assert len(table) == 40
-        assert sum(table.shard_sizes()) == 40
-        # More than one shard actually in use.
-        assert sum(1 for size in table.shard_sizes() if size) > 1
         for session_id in ids:
             assert table.get(session_id).id == session_id
 
@@ -354,14 +337,6 @@ class TestShardedSessionTable:
         for name in ("zz", "aa", "mm"):
             table.get_or_create(name, "A")
         assert [s.id for s in table.sessions()] == ["zz", "aa", "mm"]
-
-    def test_shard_placement_is_hash_seed_independent(self):
-        import zlib
-
-        table = SessionTable()
-        table.get_or_create("session-1", "A")
-        expected = zlib.crc32(b"session-1") % len(table._shards)
-        assert table._shards[expected]["session-1"] is table.get("session-1")
 
 
 # ---------------------------------------------------------------------------
@@ -468,55 +443,3 @@ class TestCrashRecovery:
             warm_before + 1
         names = [r.get("name") for r in tracer.all_records()]
         assert "peer.recover" in names
-
-
-# ---------------------------------------------------------------------------
-# Retained answer tables
-# ---------------------------------------------------------------------------
-
-
-class TestAnswerTablePersistence:
-    PROGRAM = """
-        path(X, Y) <- edge(X, Y).
-        path(X, Z) <- edge(X, Y), path(Y, Z).
-        edge(1, 2). edge(2, 3). edge(3, 4).
-    """
-
-    def test_tables_roundtrip_through_a_store(self, engine_for):
-        store = MemoryStore()
-        engine = engine_for(self.PROGRAM, tabled=True)
-        solutions = engine.query([parse_literal("path(1, X)")])
-        saved = save_answer_tables(engine, store)
-        assert saved >= 1
-
-        fresh = engine_for(self.PROGRAM, tabled=True)
-        adopted = load_answer_tables(fresh, store)
-        assert adopted == saved
-        from repro.datalog.terms import Variable
-
-        replayed = fresh.query([parse_literal("path(1, X)")])
-        x = Variable("X")
-        assert sorted(str(s.subst.resolve(x)) for s in replayed) == \
-            sorted(str(s.subst.resolve(x)) for s in solutions)
-        # The warm engine replays rather than re-derives.
-        assert fresh.stats.table_hits >= 1
-
-    def test_kb_fingerprint_mismatch_adopts_nothing(self, engine_for):
-        store = MemoryStore()
-        engine = engine_for(self.PROGRAM, tabled=True)
-        engine.query([parse_literal("path(1, X)")])
-        save_answer_tables(engine, store)
-        other = engine_for("edge(9, 9).", tabled=True)
-        assert load_answer_tables(other, store) == 0
-
-    def test_untabled_engine_adopts_nothing(self, engine_for):
-        store = MemoryStore()
-        engine = engine_for(self.PROGRAM, tabled=True)
-        engine.query([parse_literal("path(1, X)")])
-        save_answer_tables(engine, store)
-        plain = engine_for(self.PROGRAM, tabled=False)
-        assert load_answer_tables(plain, store) == 0
-
-    def test_empty_store_loads_zero(self, engine_for):
-        assert load_answer_tables(
-            engine_for(self.PROGRAM, tabled=True), MemoryStore()) == 0

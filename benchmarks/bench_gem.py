@@ -1,16 +1,14 @@
-"""E18 — GEM distributed tabling vs in-flight pruning on mutual recursion.
+"""E18 — GEM distributed tabling on mutual recursion.
 
 The mutual-membership workload
 (:func:`repro.workloads.generator.build_mutual_membership_workload`) chains
 ``depth + 1`` institution pairs whose membership policies reference each
 other, so the opening ``member(X)`` query crosses nested cross-peer cycles.
-Each depth runs twice on fresh identical worlds: **inflight** (the default
-— re-entrant queries are pruned, the paper's loop handling) and **gem**
-(``--tabling gem`` — per-goal tables, cycle subscriptions, distributed
-completion detection).  Both must produce the *same answer relation*; the
-benchmark compares their simulated time and wire bytes, plus the table-hit
-payoff of a repeat query in the same session (served from the completed
-table, zero re-evaluation).
+Every query is answered through GEM goal tables — per-goal tables, cycle
+subscriptions, distributed completion detection — and each depth must
+return its complete answer relation.  The benchmark reports simulated time
+and wire bytes per depth, plus the table-hit payoff of a repeat query in
+the same session (served from the completed table, zero re-evaluation).
 
 All numbers are deterministic (simulated clock, exact wire sizes), so the
 committed baseline ``benchmarks/reports/bench_gem.json`` is byte-stable and
@@ -24,6 +22,7 @@ import json
 from pathlib import Path
 
 from repro.bench.reporting import format_table
+from repro.determinism import reset_all
 from repro.net.message import QueryMessage
 from repro.net.transport import constant_latency
 from repro.workloads.generator import build_mutual_membership_workload
@@ -34,19 +33,14 @@ TRAJECTORY = "BENCH_GEM_V1"
 DEPTHS = (0, 1, 2)
 
 
-def _build(depth: int, tabling: str):
+def _build(depth: int):
+    reset_all()  # fresh-variable names, hence bytes, start from fixed counters
     workload = build_mutual_membership_workload(depth)
-    transport = workload.world.transport
     # Size-independent latency: session-id string lengths vary with global
     # counters, and the default bandwidth model would let that noise into
     # the simulated timings.
-    transport.latency = constant_latency(1.0)
-    transport.tabling = tabling
+    workload.world.transport.latency = constant_latency(1.0)
     return workload
-
-
-def _answer_set(result):
-    return frozenset(str(literal) for literal, _ in result.answers)
 
 
 def _run(workload):
@@ -60,39 +54,30 @@ def _run(workload):
 
 
 def run_depth(depth: int) -> dict:
-    """One recursion depth: inflight and gem runs on fresh identical
-    worlds; the answer relations must agree exactly."""
-    in_result, in_ms, in_bytes, in_msgs = _run(_build(depth, "inflight"))
-    gem_result, gem_ms, gem_bytes, gem_msgs = _run(_build(depth, "gem"))
-    assert _answer_set(in_result) == _answer_set(gem_result), depth
-    counters = gem_result.session.counters
+    """One recursion depth on a fresh world."""
+    result, sim_ms, wire_bytes, messages = _run(_build(depth))
+    counters = result.session.counters
     return {
         "benchmark": f"mutual_recursion_d{depth}",
         "depth": depth,
-        "answers": len(gem_result.answers),
-        "inflight_sim_ms": round(in_ms, 3),
-        "gem_sim_ms": round(gem_ms, 3),
-        "inflight_bytes": in_bytes,
-        "gem_bytes": gem_bytes,
-        "inflight_messages": in_msgs,
-        "gem_messages": gem_msgs,
+        "answers": len(result.answers),
+        "sim_ms": round(sim_ms, 3),
+        "bytes": wire_bytes,
+        "messages": messages,
         "tables_activated": counters.get("tables_activated", 0),
         "table_passes": counters.get("table_passes", 0),
         "fixpoint_rounds": counters.get("table_fixpoint_rounds", 0),
-        # Wire overhead of sound completion: gem ships table answers and
-        # completion broadcasts that pruning never pays for.
-        "bytes_ratio": round(gem_bytes / in_bytes, 2) if in_bytes else 1.0,
-        # Regress-gate indicator (bench_obs idiom): 1.0 iff the gem answer
+        # Regress-gate indicator (bench_obs idiom): 1.0 iff the answer
         # relation is exactly the expected complete one, 0.0 otherwise —
         # the 0.8x floor then fails the run on any lost or spurious answer.
-        "speedup": 1.0 if len(gem_result.answers) == 2 * (depth + 1) else 0.0,
+        "speedup": 1.0 if len(result.answers) == 2 * (depth + 1) else 0.0,
     }
 
 
 def run_repeat_query(depth: int = 1, rounds: int = 3) -> dict:
-    """Repeat the goal inside one session under gem: round 1 builds and
-    completes the tables, later rounds are pure table serves."""
-    workload = _build(depth, "gem")
+    """Repeat the goal inside one session: round 1 builds and completes
+    the tables, later rounds are pure table serves."""
+    workload = _build(depth)
     transport = workload.world.transport
     session = transport.sessions.get_or_create(
         "gem-repeat", workload.requester.name,
@@ -145,11 +130,10 @@ def summary_rows(rows: list[dict]) -> list[dict]:
             summary.append({
                 "benchmark": row["benchmark"],
                 "answers": row["answers"],
-                "inflight_ms": row["inflight_sim_ms"],
-                "gem_ms": row["gem_sim_ms"],
-                "inflight_B": row["inflight_bytes"],
-                "gem_B": row["gem_bytes"],
-                "bytes_ratio": row["bytes_ratio"],
+                "sim_ms": row["sim_ms"],
+                "bytes": row["bytes"],
+                "messages": row["messages"],
+                "fixpoint_rounds": row["fixpoint_rounds"],
             })
         else:
             summary.append({
@@ -163,7 +147,8 @@ def summary_rows(rows: list[dict]) -> list[dict]:
 
 
 def test_gem_soundness_and_repeat_payoff():
-    """Pytest entry: the acceptance floors of the tabling PR."""
+    """Pytest entry: complete answers at every depth, and a repeat query
+    served from the completed tables."""
     rows = {row["benchmark"]: row for row in run_suite(quick=True)}
     for depth in DEPTHS:
         row = rows[f"mutual_recursion_d{depth}"]
@@ -185,7 +170,7 @@ def main(argv=None) -> int:
 
     rows = run_suite(quick=args.quick)
     print(format_table(summary_rows(rows),
-                       title="E18 - GEM tabling vs in-flight pruning"))
+                       title="E18 - GEM tabling on mutual recursion"))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps({
         "experiment": "E18",

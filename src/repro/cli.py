@@ -144,9 +144,6 @@ def _configure_chaos(world, args) -> None:
         world.transport.max_in_flight = max_in_flight
     if getattr(args, "disclosure_deltas", False):
         world.transport.disclosure_deltas = True
-    tabling = getattr(args, "tabling", None)
-    if tabling and tabling != "inflight":
-        world.transport.tabling = tabling
 
 
 @contextmanager
@@ -457,12 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--disclosure-deltas", action="store_true",
                            help="send repeat credentials as compact hash "
                                 "references within a session")
-        group.add_argument("--tabling", choices=("inflight", "gem"),
-                           default="inflight",
-                           help="cyclic-goal strategy: 'inflight' prunes "
-                                "re-entrant queries (default); 'gem' "
-                                "evaluates them with per-goal tables and "
-                                "distributed completion detection")
 
     def add_stats_option(sub) -> None:
         sub.add_argument("--stats", action="store_true",

@@ -128,6 +128,7 @@ class KnowledgeBase:
         self._content: dict[tuple[str, int], _PredicateBucket] = {}
         self._release: dict[tuple[str, int], list[Rule]] = defaultdict(list)
         self._count = 0
+        self.generation = 0  # bumped by every mutation (a cache stamp)
         if rules:
             for rule in rules:
                 self.add(rule)
@@ -145,6 +146,7 @@ class KnowledgeBase:
                 bucket = self._content[rule.head.indicator] = _PredicateBucket()
             bucket.add(rule)
         self._count += 1
+        self.generation += 1
 
     def add_all(self, rules: Iterable[Rule]) -> None:
         for rule in rules:
@@ -165,11 +167,13 @@ class KnowledgeBase:
             if rule in policies:
                 policies.remove(rule)
                 self._count -= 1
+                self.generation += 1
                 return True
             return False
         bucket = self._content.get(rule.head.indicator)
         if bucket is not None and bucket.remove(rule):
             self._count -= 1
+            self.generation += 1
             return True
         return False
 

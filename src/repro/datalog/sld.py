@@ -9,10 +9,10 @@ The negotiation layer walks these trees to collect the signed rules that
 constitute a *certified proof* (paper §6: "a certified proof that a party is
 entitled to access a particular resource").
 
-**Dispatch hook.**  Goals can be intercepted by a caller-supplied
-``dispatch(goal, subst, depth)`` callable before normal resolution.  The
-negotiation engine uses this to route goals with authority chains to remote
-peers; the local engine stays ignorant of networking.
+**Dispatch hook.**  Goals can be intercepted by overriding
+:meth:`SLDEngine.dispatch` before normal resolution.  The negotiation
+engine (a subclass) uses this to route goals with authority chains to
+remote peers; the local engine stays ignorant of networking.
 
 **Tabling.**  With ``tabled=True``, repeated calls (up to variable renaming)
 consume memoised answers, and :meth:`SLDEngine.query` iterates to a fixpoint
@@ -58,10 +58,6 @@ def _fold_stats(stats: "SLDStats", before: tuple) -> None:
     for name, prev, now in zip(_ENGINE_FIELDS, before, _stats_marks(stats)):
         if now != prev:
             _ENGINE_OPS.labels(name).inc(now - prev)
-
-# A dispatcher may return None ("not mine, resolve normally") or an iterator
-# of (substitution, proof) pairs covering the goal entirely.
-Dispatcher = Callable[[Literal, Substitution, int], Optional[Iterator[tuple[Substitution, "ProofNode"]]]]
 
 
 class Suspension:
@@ -179,23 +175,23 @@ class SLDStats:
     sig_cache_hits: int = 0
 
 
+def _canon_term(term: Term, numbering: dict[Variable, int]) -> tuple:
+    if isinstance(term, Variable):
+        return ("v", numbering.setdefault(term, len(numbering)))
+    if isinstance(term, Constant):
+        return ("c", term.value, term.quoted)
+    assert isinstance(term, Compound)
+    return ("f", term.functor,
+            tuple(_canon_term(a, numbering) for a in term.args))
+
+
 def _canonical_literal(literal: Literal) -> tuple:
     numbering: dict[Variable, int] = {}
-
-    def canon_term(term: Term) -> tuple:
-        if isinstance(term, Variable):
-            index = numbering.setdefault(term, len(numbering))
-            return ("v", index)
-        if isinstance(term, Constant):
-            return ("c", term.value, term.quoted)
-        assert isinstance(term, Compound)
-        return ("f", term.functor, tuple(canon_term(a) for a in term.args))
-
     return (
         literal.predicate,
         literal.negated,
-        tuple(canon_term(a) for a in literal.args),
-        tuple(canon_term(a) for a in literal.authority),
+        tuple(_canon_term(a, numbering) for a in literal.args),
+        tuple(_canon_term(a, numbering) for a in literal.authority),
     )
 
 
@@ -256,9 +252,11 @@ class SLDEngine:
         ``strict_depth`` is set, in which case it raises.
     tabled:
         Memoise answers per call pattern and iterate queries to fixpoint.
-    dispatch:
-        Optional interception hook (see module docstring).
     """
+
+    # Scatter-gather prefetch (negotiation engines only): when set,
+    # :meth:`gather` runs once per multi-goal conjunction.
+    gathers = False
 
     def __init__(
         self,
@@ -267,7 +265,6 @@ class SLDEngine:
         max_depth: int = 400,
         tabled: bool = False,
         strict_depth: bool = False,
-        dispatch: Optional[Dispatcher] = None,
         rule_transform: Optional[Callable[[Rule], Rule]] = None,
     ) -> None:
         self.kb = kb
@@ -275,18 +272,10 @@ class SLDEngine:
         self.max_depth = max_depth
         self.tabled = tabled
         self.strict_depth = strict_depth
-        self.dispatch = dispatch
         # Applied to every clause before it is renamed apart; the negotiation
         # layer uses this to bind the pseudo-variables Requester/Self per
         # incoming query (paper §3.1).
         self.rule_transform = rule_transform
-        # Scatter-gather prefetch hook (negotiation dispatchers only): a
-        # generator-valued callable invoked once per multi-goal conjunction
-        # *before* left-to-right resolution.  It may suspend (to issue
-        # independent remote sub-queries concurrently) but yields no
-        # solutions; resolution proceeds normally afterwards, consuming
-        # whatever the hook prefetched.  None = zero overhead.
-        self.gather_hook: Optional[Callable] = None
         self.stats = SLDStats()
         # Answer tables for the current top-level query: call-pattern key ->
         # {answer key: (answer, proof)}.  The inner dict preserves insertion
@@ -296,6 +285,29 @@ class SLDEngine:
         self._active: set[tuple] = set()
         self._table_grew = False
         self._reentered = False
+
+    # -- hooks for subclasses -------------------------------------------------
+
+    def dispatch(
+        self,
+        goal: Literal,
+        subst: Substitution,
+        depth: int,
+    ) -> Optional[Iterator[tuple[Substitution, ProofNode]]]:
+        """Interception hook consulted before normal resolution: ``None``
+        ("not mine, resolve normally") or an iterator of (substitution,
+        proof) pairs covering the goal entirely.  The base engine
+        intercepts nothing."""
+        return None
+
+    def gather(self, goals: tuple[Literal, ...], subst: Substitution,
+               depth: int):
+        """Prefetch hook run *before* left-to-right resolution of a
+        multi-goal conjunction when :attr:`gathers` is set.  It may suspend
+        (to issue independent remote sub-queries concurrently) but yields
+        no solutions; resolution then proceeds normally, consuming whatever
+        it prefetched."""
+        return iter(())
 
     # -- public API -----------------------------------------------------------
 
@@ -477,11 +489,11 @@ class SLDEngine:
                 tracer.event("engine.depth_cutoff", depth=depth,
                              goal=str(goals[0].apply(subst)))
             return
-        if len(goals) > 1 and self.gather_hook is not None:
+        if len(goals) > 1 and self.gathers:
             # yield from forwards the hook's Suspensions upward and routes
             # the driver's send() values back into it, like any other
             # sub-generator that may suspend.
-            yield from self.gather_hook(goals, subst, depth)
+            yield from self.gather(goals, subst, depth)
         goal, rest = goals[0], goals[1:]
 
         # Explicit pump instead of nested for-loops: Suspension items must be
@@ -519,12 +531,11 @@ class SLDEngine:
         subst: Substitution,
         depth: int,
     ) -> Iterator[tuple[Substitution, ProofNode]]:
-        # 1. Caller interception (negotiation engine routing).
-        if self.dispatch is not None:
-            intercepted = self.dispatch(goal, subst, depth)
-            if intercepted is not None:
-                yield from intercepted
-                return
+        # 1. Subclass interception (negotiation engine routing).
+        intercepted = self.dispatch(goal, subst, depth)
+        if intercepted is not None:
+            yield from intercepted
+            return
 
         # 2. Negation as failure.
         if goal.negated:

@@ -1,9 +1,9 @@
 """The distributed evaluation core: authority-chain dispatch.
 
 This module implements the operational semantics of ``@`` (DESIGN.md,
-"Operational semantics implemented").  An :class:`EvalContext` wraps one
-peer's SLD engine with a dispatcher that intercepts goals carrying
-authority chains and resolves them through, in order:
+"Operational semantics implemented").  An :class:`EvalContext` is one
+peer's SLD engine whose dispatch hook intercepts goals carrying authority
+chains and resolves them through, in order:
 
 1. **credentials** — signed rules whose signature vouches for the goal's
    innermost authority (the paper's ``signedBy [A] ⇒ @ A`` axiom, §3.2);
@@ -118,8 +118,10 @@ def collect_solutions(source):
             solutions.append(item)
 
 
-class EvalContext:
-    """One peer's view of one evaluation task within a session.
+class EvalContext(SLDEngine):
+    """One peer's view of one evaluation task within a session: an
+    :class:`~repro.datalog.sld.SLDEngine` over the peer's KB whose
+    :meth:`dispatch` and :meth:`gather` hooks route authority chains.
 
     Parameters
     ----------
@@ -155,23 +157,22 @@ class EvalContext:
         drop_peers: frozenset[str] = frozenset(),
         max_depth: Optional[int] = None,
     ) -> None:
-        self.peer = peer
-        self.session = session
-        self.requester = requester
-        self.stores = list(stores)
-        self.allow_remote = allow_remote
-        self.drop_peers = drop_peers
-        self.engine = SLDEngine(
+        super().__init__(
             kb if kb is not None else _EMPTY_KB,
             builtins=peer.builtins,
             max_depth=max_depth if max_depth is not None else peer.max_depth,
             tabled=False,
             rule_transform=binder(requester, peer.name),
         )
-        self.engine.dispatch = self._dispatch
-        # GEM tabling: the answering peer's own TableNode for the goal this
-        # context is evaluating (set by Peer's gem answer path).  When an
-        # absorbed reply is an incomplete TableAnswer, the dependency is
+        self.peer = peer
+        self.session = session
+        self.requester = requester
+        self.stores = list(stores)
+        self.allow_remote = allow_remote
+        self.drop_peers = drop_peers
+        # The answering peer's own TableNode for the goal this context
+        # evaluates (set by Peer's table pass).  Its remote sub-queries skip
+        # the in-flight prune, and an absorbed incomplete TableAnswer is
         # recorded here so SCC completion detection sees it.
         self.table_node = None
         # Prefetched scatter-gather outcomes, keyed by (target, reduced-goal
@@ -182,9 +183,8 @@ class EvalContext:
         # attached to the RemoteCalls it issues (tracing only).
         self._remote_span = None
         transport = getattr(peer, "transport", None)
-        if (allow_remote and transport is not None
-                and getattr(transport, "max_in_flight", 1) > 1):
-            self.engine.gather_hook = self._gather_prefetch
+        self.gathers = bool(allow_remote and transport is not None
+                            and getattr(transport, "max_in_flight", 1) > 1)
 
     # -- public querying --------------------------------------------------------
 
@@ -210,24 +210,24 @@ class EvalContext:
         transport = getattr(self.peer, "transport", None)
         if not self.allow_remote or transport is None:
             # Nothing can suspend: run the engine directly.
-            return self.engine.query(goals, max_solutions=max_solutions)
+            return self.query(goals, max_solutions=max_solutions)
         from repro.runtime.scheduler import run_steps
 
         return run_steps(transport, collect_solutions(
-            self.engine.iter_query(goals, max_solutions=max_solutions)))
+            self.iter_query(goals, max_solutions=max_solutions)))
 
     def iter_query_goal(self, goal: Literal, max_solutions: Optional[int] = None):
         """Step form of :meth:`query_goal`: a generator of
         :class:`Suspension` and :class:`Solution` items (see
         :meth:`repro.datalog.sld.SLDEngine.iter_query`)."""
         bound = bind_pseudovars_in_literal(goal, self.requester, self.peer.name)
-        return self.engine.iter_query([bound], max_solutions=max_solutions)
+        return self.iter_query([bound], max_solutions=max_solutions)
 
     def prove_steps(self, goals: Sequence[Literal]):
         """Step form of :meth:`prove`: returns the first solution of the
         conjunction, or ``None``."""
         solutions = yield from collect_solutions(
-            self.engine.iter_query(self._bind(goals), max_solutions=1))
+            self.iter_query(self._bind(goals), max_solutions=1))
         return solutions[0] if solutions else None
 
     def derive_evidence(self, goal: Literal) -> Optional[ProofNode]:
@@ -239,7 +239,7 @@ class EvalContext:
 
     # -- the dispatcher ------------------------------------------------------------
 
-    def _dispatch(
+    def dispatch(
         self,
         goal: Literal,
         subst: Substitution,
@@ -259,7 +259,7 @@ class EvalContext:
         yield from self._credential_solutions(goal, subst, depth)
 
         # 2. The peer's own clauses with @-annotated heads.
-        yield from self.engine.resolve_clauses(goal, subst, depth)
+        yield from self.resolve_clauses(goal, subst, depth)
 
         # 3/4. Authority-layer consumption: reduction or remote evaluation.
         resolved = goal.apply(subst)
@@ -276,7 +276,7 @@ class EvalContext:
         reduced = resolved.drop_outer_authority()
 
         if target == self.peer.name or target in self.drop_peers:
-            source = self.engine.solve_goals((reduced,), subst, depth + 1)
+            source = self.solve_goals((reduced,), subst, depth + 1)
             outcome = None
             while True:
                 try:
@@ -305,7 +305,7 @@ class EvalContext:
                 yield result_subst, proof
             if found_local_evidence:
                 return
-            yield from self._remote_solutions(goal, resolved, reduced, subst, target, depth)
+            yield from self._remote_solutions(goal, reduced, subst, target, depth)
 
     def _evidence_drop(
         self,
@@ -322,7 +322,7 @@ class EvalContext:
             stores=self.stores,
             allow_remote=False,
         )
-        for result_subst, proofs in evidence.engine.solve_goals((reduced,), subst, 0):
+        for result_subst, proofs in evidence.solve_goals((reduced,), subst, 0):
             yield result_subst, ProofNode(
                 resolved.apply(result_subst), "evidence-drop",
                 peer=target, children=proofs)
@@ -373,7 +373,7 @@ class EvalContext:
             yield head_subst, ProofNode(goal.apply(head_subst), "credential",
                                         rule=credential.rule, credential=credential)
             return
-        source = self.engine.solve_goals(renamed.body, head_subst, depth + 1)
+        source = self.solve_goals(renamed.body, head_subst, depth + 1)
         outcome = None
         while True:
             try:
@@ -392,14 +392,14 @@ class EvalContext:
 
     # -- remote evaluation ----------------------------------------------------------------
 
-    def _gather_prefetch(self, goals, subst: Substitution, depth: int):
-        """Scatter half of scatter-gather evaluation (the engine's
-        ``gather_hook``): scan a conjunction for goals that will certainly
-        be resolved remotely, and — when two or more are *independent* —
-        issue all their queries in one :class:`GatherCall` suspension.
-        Their replies are stashed in ``_gather_replies`` for
-        :meth:`_remote_solutions` to consume when left-to-right resolution
-        reaches each goal.
+    def gather(self, goals, subst: Substitution, depth: int):
+        """Scatter half of scatter-gather evaluation (the engine's gather
+        hook, on when ``max_in_flight > 1``): scan a conjunction for goals
+        that will certainly be resolved remotely, and — when two or more
+        are *independent* — issue all their queries in one
+        :class:`GatherCall` suspension.  Their replies are stashed in
+        ``_gather_replies`` for :meth:`_remote_solutions` to consume when
+        left-to-right resolution reaches each goal.
 
         Independence is variable-disjointness under the current
         substitution: a goal is gatherable only when it shares no unbound
@@ -429,7 +429,7 @@ class EvalContext:
                 continue
             if any(store.candidates(resolved.indicator) for store in self.stores):
                 continue
-            if next(iter(self.engine.kb.rules_for(resolved)), None) is not None:
+            if next(iter(self.kb.rules_for(resolved)), None) is not None:
                 continue
             reduced = resolved.drop_outer_authority()
             if any(store.candidates(reduced.indicator) for store in self.stores):
@@ -491,60 +491,48 @@ class EvalContext:
     def _remote_solutions(
         self,
         goal: Literal,
-        resolved: Literal,
         reduced: Literal,
         subst: Substitution,
         target: str,
         depth: int,
     ) -> Iterator[tuple[Substitution, ProofNode]]:
-        """Tracing wrapper around :meth:`_remote_solutions_impl`: one
-        ``negotiation.remote`` span covering the whole remote evaluation.
-        The span is made current only while the impl generator actually
-        runs — suspensions and yielded solutions restore the consumer's
-        context — so transport/verify events land under it without leaking
-        it into sibling goals."""
-        if _trace.ACTIVE is None:
-            yield from self._remote_solutions_impl(
-                goal, resolved, reduced, subst, target, depth)
-            return
+        """Remote evaluation of ``goal`` at ``target``: the reply to
+        ``reduced`` (:meth:`_remote_reply`), then its verified answers
+        (:meth:`_absorb_reply`).  While tracing, one ``negotiation.remote``
+        span covers both halves and is current only while they run, so
+        transport/verify events land under it without leaking it into
+        sibling goals."""
         tracer = _trace.ACTIVE
+        if tracer is None:
+            reply = yield from self._remote_reply(reduced, target, depth)
+            if reply is not None:
+                yield from self._absorb_reply(
+                    goal, reduced, subst, target, reply)
+            return
         span = tracer.begin(
             "negotiation.remote", peer=self.peer.name, target=target,
             goal=str(reduced),
             session=tracer.alias("session", self.session.id))
         self._remote_span = span
-        source = self._remote_solutions_impl(
-            goal, resolved, reduced, subst, target, depth)
-        outcome = None
         solutions = 0
         try:
-            while True:
-                outer = tracer.set_current(span)
-                try:
-                    item = source.send(outcome)
-                except StopIteration:
-                    break
-                finally:
-                    tracer.set_current(outer)
-                outcome = None
-                if isinstance(item, Suspension):
-                    outcome = yield item
-                else:
+            reply = yield from tracer.resume_under(
+                span, self._remote_reply(reduced, target, depth))
+            if reply is not None:
+                # Absorbing never suspends, so plain iteration drives it.
+                for solution in tracer.resume_under(span, self._absorb_reply(
+                        goal, reduced, subst, target, reply)):
                     solutions += 1
-                    yield item
+                    yield solution
         finally:
             self._remote_span = None
             tracer.end(span, solutions=solutions)
 
-    def _remote_solutions_impl(
-        self,
-        goal: Literal,
-        resolved: Literal,
-        reduced: Literal,
-        subst: Substitution,
-        target: str,
-        depth: int,
-    ) -> Iterator[tuple[Substitution, ProofNode]]:
+    def _remote_reply(self, reduced: Literal, target: str, depth: int):
+        """Network half of a remote evaluation, as a step generator: the
+        reply to ``reduced`` from ``target`` — prefetched by :meth:`gather`
+        or asked now — or ``None`` when the call is not made or its branch
+        failed."""
         if self._gather_replies:
             prefetched = self._gather_replies.pop(
                 (target, canonical_literal(reduced)), None)
@@ -554,26 +542,22 @@ class EvalContext:
                 # Gather half already transmitted the query and logged it;
                 # its outcome goes through the same failure discipline as a
                 # live one.
-                reply = self._reply_or_branch_failure(prefetched, target)
-                if reply is not None:
-                    yield from self._absorb_reply(
-                        goal, reduced, subst, target, reply)
-                return
+                return self._reply_or_branch_failure(prefetched, target)
         request = self._issue_remote(reduced, target, depth)
         if request is None:
-            return
+            return None
         goal_key = canonical_literal(reduced)
-        # Under GEM tabling, a *table pass* does not prune re-entrant
-        # queries: the answering peer's goal table detects the cycle and
-        # replies with its current (possibly empty) answer set, so recursion
-        # bottoms out one hop later with sound partial answers instead of a
-        # lost branch.  Auxiliary evaluations (release guards, ``$``-policy
-        # grants, sticky obligations) have no table to bottom out in, so
-        # they keep the in-flight prune even in gem mode.
-        gem = self.gem_mode() and self.table_node is not None
-        if not gem and not self.session.enter_remote(
+        # A table pass does not prune re-entrant queries: the answering
+        # peer's goal table detects the cycle and replies with its current
+        # (possibly empty) answer set, so recursion bottoms out one hop
+        # later with sound partial answers instead of a lost branch.
+        # Evaluations with no table (release guards, ``$``-policy grants,
+        # sticky obligations, local queries) have nothing to bottom out in,
+        # so they keep the in-flight prune.
+        pruned = self.table_node is None
+        if pruned and not self.session.enter_remote(
                 self.peer.name, target, goal_key):
-            return
+            return None
         try:
             self.session.log("query", self.peer.name, target, str(reduced))
             # Park this evaluation as a pending continuation; the scheduler
@@ -582,12 +566,10 @@ class EvalContext:
             call = RemoteCall(request, self.session)
             call.trace_ctx = self._remote_span
             outcome = yield Suspension(call)
-            reply = self._reply_or_branch_failure(outcome, target)
+            return self._reply_or_branch_failure(outcome, target)
         finally:
-            if not gem:
+            if pruned:
                 self.session.exit_remote(self.peer.name, target, goal_key)
-        if reply is not None:
-            yield from self._absorb_reply(goal, reduced, subst, target, reply)
 
     # Failure discipline for a remote call's outcome: transient losses
     # (already retried by the exchange) and deterministic faults — an
@@ -616,11 +598,6 @@ class EvalContext:
                 self._note_branch_failure(kind, target)
                 return None
         raise outcome
-
-    def gem_mode(self) -> bool:
-        """True when this evaluation runs under GEM distributed tabling."""
-        transport = getattr(self.peer, "transport", None)
-        return getattr(transport, "tabling", "inflight") == "gem"
 
     def _note_branch_failure(self, kind: str, target: str) -> None:
         transport = getattr(self.peer, "transport", None)
@@ -730,7 +707,7 @@ class EvalContext:
         cached_verifications = SIGNATURE_CACHE_STATS.hits - sig_hits_before
         if cached_verifications:
             self.session.counters["sig_cache_hits"] += cached_verifications
-            self.engine.stats.sig_cache_hits += cached_verifications
+            self.stats.sig_cache_hits += cached_verifications
         tracer = _trace.ACTIVE
         if tracer is not None and (disclosed or resolved_refs):
             tracer.event("negotiation.verify", parent=self._remote_span,

@@ -29,7 +29,6 @@ Release semantics implemented in :meth:`_releasable` (default-deny):
 
 from __future__ import annotations
 
-from dataclasses import replace as _replace
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.credentials.credential import (
@@ -78,8 +77,8 @@ from repro.negotiation.session import (
 )
 from repro.obs import trace as _trace
 from repro.obs.flightrec import RECORDER as _FLIGHTREC
-from repro.obs.metrics import global_registry
-from repro.policy.pseudovars import bind_pseudovars, bind_pseudovars_in_literal
+from repro.policy.pseudovars import (
+    REQUESTER, bind_pseudovars, bind_pseudovars_in_literal)
 from repro.policy.release import (
     credential_release_decisions,
     credential_release_heads,
@@ -93,14 +92,6 @@ from repro.policy.sticky import (
     with_sticky_guard,
 )
 from repro.policy.unipro import UniProRegistry
-
-# GEM distributed-tabling lifecycle events, aggregated across peers
-# (activations and completions live on sessions; the process-wide family is
-# what ``--metrics-out`` renders).
-_TABLING_EVENTS = global_registry().counter(
-    "peertrust_tabling_events_total",
-    help="GEM distributed-tabling lifecycle events",
-    labels=("event",))
 
 
 class Peer:
@@ -151,6 +142,7 @@ class Peer:
         # ('all' combining mode).
         self.query_hooks: list[Callable[[Literal, str, Session], Iterator]] = []
         self.transport = None  # set by Transport.register
+        self._requester_rules = None  # memo of _tables_per_requester
         if program:
             self.load_program(program)
 
@@ -280,33 +272,40 @@ class Peer:
 
     def _traced_answer_steps(self, message: QueryMessage,
                              tracer) -> "Iterable":
-        """Wrap the answer generator in a ``peer.answer`` span.  The span is
-        current only while the impl actually executes — each yielded
-        suspension hands the consumer's context back untouched."""
+        """Wrap the answer generator in a ``peer.answer`` span, current only
+        while the impl actually executes."""
         span = tracer.begin(
             "peer.answer", peer=self.name, requester=message.sender,
             goal=str(message.goal),
             session=tracer.alias("session", message.session_id))
-        steps = self._answer_query_steps_impl(message)
-        outcome = None
         try:
-            while True:
-                previous = tracer.set_current(span)
-                try:
-                    item = steps.send(outcome)
-                except StopIteration as stop:
-                    reply = stop.value
-                    span.attrs["items"] = len(getattr(reply, "items", ()))
-                    return reply
-                finally:
-                    tracer.set_current(previous)
-                outcome = yield item
+            reply = yield from tracer.resume_under(
+                span, self._answer_query_steps_impl(message))
+            span.attrs["items"] = len(getattr(reply, "items", ()))
+            return reply
         finally:
             tracer.end(span)
 
     def _answer_query_steps_impl(self, message: QueryMessage):
+        """Answer through the session's goal-table registry (GEM, see
+        DESIGN.md "Distributed tabling"):
+
+        - a COMPLETE table serves its stored answers (plus requester-specific
+          grants) without re-evaluation;
+        - an ACTIVE table means this query closed a cycle: reply with the
+          answers accumulated *so far* and the table's order floor, so the
+          asker subscribes to the table instead of losing the branch;
+        - otherwise run an evaluation pass.  A pass that consumed no
+          incomplete table completes immediately.  One that did either defers
+          to a lower-ordered leader (TENTATIVE + incremental reply) or — when
+          the floor equals its own order — *is* the SCC leader: it iterates
+          passes to a fixpoint, broadcasts ``TableComplete``, and serves the
+          final answer.  An evaluation that lost answers to a failure is
+          never completed.  Tables are per (goal, requester) when this
+          peer's rules mention ``Requester``."""
         session = self._session(message.session_id, message.sender)
         requester = message.sender
+        goal = message.goal
         failure = AnswerMessage(
             sender=self.name, receiver=requester,
             session_id=session.id, query_id=message.message_id, items=())
@@ -314,65 +313,73 @@ class Peer:
         if not self.answers_queries:
             session.log("refuse", self.name, requester, "peer answers no queries")
             return failure
-        if self.query_filter is not None and not self.query_filter(message.goal, requester):
-            session.log("refuse", self.name, requester, str(message.goal))
+        if self.query_filter is not None and not self.query_filter(goal, requester):
+            session.log("refuse", self.name, requester, str(goal))
             return failure
         if not session.nesting_available():
             session.log("exhausted", self.name, requester, "nesting budget")
             return failure
 
-        if self._gem_tabling():
-            reply = yield from self._answer_query_gem_steps(
-                message, session, requester)
-            return reply
+        bound = bind_pseudovars_in_literal(goal, requester, self.name)
+        goal_key = canonical_literal(bound)
+        if self._tables_per_requester():
+            goal_key = (requester, goal_key)
+        node = session.table_for(self.name, goal_key)
 
-        session.depth += 1
-        try:
-            context = EvalContext(
-                peer=self,
-                session=session,
-                requester=requester,
-                kb=self.kb,
-                stores=[self.credentials, session.received_for(self.name)],
-                allow_remote=True,
-            )
-            # A ground goal is a yes/no question: one proof settles it.
-            # Open goals enumerate up to max_answers distinct solutions.
-            limit = 1 if message.goal.is_ground() else self.max_answers
-            solutions: list[Solution] = yield from collect_solutions(
-                context.iter_query_goal(message.goal, max_solutions=limit))
-        except TransientNetworkError as error:
-            # Graceful degradation: a provider that cannot reach a third
-            # party answers "no" for this query rather than propagating the
-            # outage back to its own requester.  (DeadlineExceeded is NOT
-            # caught — it must unwind the whole negotiation.)
-            session.counters["degraded_answers"] += 1
-            session.log("degraded", self.name, requester, str(error))
-            solutions = []
-        finally:
-            session.depth -= 1
+        if node is not None and node.status == TABLE_COMPLETE:
+            session.counters["table_hits"] += 1
+            session.log("table-serve", self.name, requester, str(goal))
+        elif node is not None and node.status == TABLE_ACTIVE:
+            # Re-entrant (cyclic) query: subscribe the asker to this table.
+            # No grants here — grant proving may evaluate remotely, and the
+            # whole point of this arm is to bottom out without recursion.
+            session.counters["table_subscriptions"] += 1
+            session.log("table-join", self.name, requester,
+                        f"{goal} ({len(node.answers)} answer(s) so far)")
+            return (yield from self._partial_answer_steps(
+                node, message, session, requester))
+        else:
+            losses = session.answer_losses()
+            node = session.activate_table(self.name, goal_key)
+            yield from self._table_pass_steps(
+                node, message, session, requester)
+            if node.min_dep is not None and node.min_dep < node.order:
+                # SCC member but not its leader: stay tentative and hand the
+                # floor upward; the leader's fixpoint will re-query us.
+                node.status = TABLE_TENTATIVE
+                return (yield from self._partial_answer_steps(
+                    node, message, session, requester))
+            leader = node.min_dep is not None
+            if leader:
+                # The cycle's floor is this very goal: we lead the SCC.
+                yield from self._table_fixpoint_steps(
+                    node, message, session, requester)
+            if session.answer_losses() != losses:
+                # A failure cost this evaluation answers: serve what it
+                # derived but leave the table tentative, so the next query
+                # re-evaluates it under its own activation order (a lost
+                # reply may have hidden a cycle it leads).  No completion
+                # notice: the SCC members stay tentative too.
+                node.status = TABLE_TENTATIVE
+                session.counters["tables_lossy"] += 1
+            else:
+                node.status = TABLE_COMPLETE
+                session.counters["tables_completed"] += 1
+                if leader:
+                    yield from self._notify_table_complete_steps(
+                        node, session)
 
-        items: list[AnswerItem] = []
-        answered_keys: set[tuple] = set()
-        for solution in solutions:
-            item = yield from self._build_answer_item_steps(
-                message.goal, solution, requester, session)
-            if item is not None:
-                items.append(item)
-                if item.answered_literal is not None:
-                    answered_keys.add(canonical_literal(item.answered_literal))
-
+        items, answered_keys = yield from self._table_items_steps(
+            node, goal, requester, session)
         yield from self._grants_and_hooks_steps(
-            message.goal, requester, session, items, answered_keys)
-
+            goal, requester, session, items, answered_keys)
         return self._final_answer(message, session, requester, items)
 
     def _grants_and_hooks_steps(self, goal: Literal, requester: str,
                                 session: Session, items: list,
                                 answered_keys: set):
-        """Append resource-policy grants and query-hook items to ``items``
-        (shared tail of the inflight and gem answer paths), never past
-        ``max_answers`` items in all.
+        """Append resource-policy grants and query-hook items to ``items``,
+        never past ``max_answers`` items in all.
 
         Resource-access policies: a predicate may be governed *only* by a
         ``$`` rule (the paper's freeEnroll, §3.1) — access is granted when
@@ -419,10 +426,16 @@ class Peer:
             session_id=session.id, query_id=message.message_id,
             items=dedup_answer_credentials(items))
 
-    # -- GEM distributed tabling (``--tabling gem``) -----------------------------------
+    # -- GEM goal tables -----------------------------------------------------------------
 
-    def _gem_tabling(self) -> bool:
-        return getattr(self.transport, "tabling", "inflight") == "gem"
+    def _tables_per_requester(self) -> bool:
+        """True when a content rule mentions ``Requester``: answers then
+        depend on who asks, so each requester gets its own tables."""
+        kb, memo = self.kb, self._requester_rules
+        if memo is None or memo[0] is not kb or memo[1] != kb.generation:
+            memo = self._requester_rules = (kb, kb.generation, any(
+                REQUESTER in rule.variables() for rule in kb.content_rules()))
+        return memo[2]
 
     @staticmethod
     def _table_floor(node: TableNode) -> int:
@@ -432,88 +445,18 @@ class Peer:
             return node.min_dep
         return node.order
 
-    def _answer_query_gem_steps(self, message: QueryMessage, session: Session,
-                                requester: str):
-        """Answer a query through the goal-table registry instead of
-        evaluating unconditionally:
-
-        - a COMPLETE table serves its stored answers (plus requester-specific
-          grants) without re-evaluation;
-        - an ACTIVE table means this query closed a cycle: reply with the
-          answers accumulated *so far* and the table's order floor, so the
-          asker subscribes to the table instead of losing the branch;
-        - otherwise run an evaluation pass.  A pass that consumed no
-          incomplete table completes immediately.  One that did either defers
-          to a lower-ordered leader (TENTATIVE + incremental reply) or — when
-          the floor equals its own order — *is* the SCC leader: it iterates
-          passes to a fixpoint, broadcasts ``TableComplete``, and serves the
-          final answer."""
-        goal = message.goal
-        bound = bind_pseudovars_in_literal(goal, requester, self.name)
-        goal_key = canonical_literal(bound)
-        node = session.table_for(self.name, goal_key)
-
-        if node is not None and node.status == TABLE_COMPLETE:
-            session.counters["table_hits"] += 1
-            _TABLING_EVENTS.labels("table_hits").inc()
-            session.log("table-serve", self.name, requester, str(goal))
-            items, answered_keys = yield from self._table_items_steps(
-                node, goal, requester, session)
-            yield from self._grants_and_hooks_steps(
-                goal, requester, session, items, answered_keys)
-            return self._final_answer(message, session, requester, items)
-
-        if node is not None and node.status == TABLE_ACTIVE:
-            # Re-entrant (cyclic) query: subscribe the asker to this table.
-            # No grants here — grant proving may evaluate remotely, and the
-            # whole point of this arm is to bottom out without recursion.
-            session.counters["table_subscriptions"] += 1
-            _TABLING_EVENTS.labels("subscriptions").inc()
-            session.log("table-join", self.name, requester,
-                        f"{goal} ({len(node.answers)} answer(s) so far)")
-            items, _ = yield from self._table_items_steps(
-                node, goal, requester, session)
-            return TableAnswerMessage(
-                sender=self.name, receiver=requester, session_id=session.id,
-                query_id=message.message_id,
-                items=dedup_answer_credentials(items),
-                complete=False, min_order=self._table_floor(node),
-                grew=node.grew)
-
-        node = session.activate_table(self.name, goal_key)
-        _TABLING_EVENTS.labels("activations").inc()
-        yield from self._table_pass_steps(
-            node, message, session, requester)
-
-        if node.min_dep is not None and node.min_dep < node.order:
-            # SCC member but not its leader: stay tentative and hand the
-            # floor upward; the leader's fixpoint will re-query us.
-            node.status = TABLE_TENTATIVE
-            items, _ = yield from self._table_items_steps(
-                node, goal, requester, session)
-            return TableAnswerMessage(
-                sender=self.name, receiver=requester, session_id=session.id,
-                query_id=message.message_id,
-                items=dedup_answer_credentials(items),
-                complete=False, min_order=node.min_dep, grew=node.grew)
-
-        if node.min_dep is not None:
-            # The cycle's floor is this very goal: we lead the SCC.
-            yield from self._table_fixpoint_steps(
-                node, message, session, requester)
-            node.status = TABLE_COMPLETE
-            session.counters["tables_completed"] += 1
-            yield from self._notify_table_complete_steps(
-                node, session)
-        else:
-            node.status = TABLE_COMPLETE
-            session.counters["tables_completed"] += 1
-        _TABLING_EVENTS.labels("completions").inc()
-        items, answered_keys = yield from self._table_items_steps(
-            node, goal, requester, session)
-        yield from self._grants_and_hooks_steps(
-            goal, requester, session, items, answered_keys)
-        return self._final_answer(message, session, requester, items)
+    def _partial_answer_steps(self, node: TableNode, message: QueryMessage,
+                              session: Session, requester: str):
+        """The answers of a still-incomplete table, with its order floor,
+        so the asker records the dependency and its leader re-queries."""
+        items, _ = yield from self._table_items_steps(
+            node, message.goal, requester, session)
+        return TableAnswerMessage(
+            sender=self.name, receiver=requester, session_id=session.id,
+            query_id=message.message_id,
+            items=dedup_answer_credentials(items),
+            complete=False, min_order=self._table_floor(node),
+            grew=node.grew)
 
     def _table_pass_steps(self, node: TableNode, message: QueryMessage,
                           session: Session, requester: str):
@@ -524,7 +467,6 @@ class Peer:
         via the evaluation context's dependency hook."""
         node.begin_pass()
         session.counters["table_passes"] += 1
-        _TABLING_EVENTS.labels("passes").inc()
         tracer = _trace.ACTIVE
         span = None
         if tracer is not None:
@@ -543,8 +485,12 @@ class Peer:
                 allow_remote=True,
             )
             context.table_node = node
+            # A ground goal is a yes/no question: one proof settles it.
+            # Open goals enumerate up to max_answers distinct solutions.
             limit = 1 if message.goal.is_ground() else self.max_answers
             source = context.iter_query_goal(message.goal, max_solutions=limit)
+            if span is not None:
+                source = tracer.resume_under(span, source)
             outcome = None
             while True:
                 try:
@@ -560,9 +506,12 @@ class Peer:
                                    (answered, item)):
                     session.counters["table_answers"] += 1
         except TransientNetworkError as error:
-            # Same degradation as the inflight path; answers already folded
-            # this pass stay (the table is monotone and every entry was
-            # derived soundly before the outage).
+            # Graceful degradation: a provider that cannot reach a third
+            # party answers with what it has rather than propagating the
+            # outage back to its own requester (DeadlineExceeded is NOT
+            # caught — it must unwind the whole negotiation).  Answers
+            # already folded this pass stay: the table is monotone and every
+            # entry was derived soundly before the outage.
             session.counters["degraded_answers"] += 1
             session.log("degraded", self.name, requester, str(error))
         finally:
@@ -574,12 +523,12 @@ class Peer:
     def _table_items_steps(self, node: TableNode, goal: Literal,
                            requester: str, session: Session):
         """Build the wire items for ``requester`` from the table's stored
-        solutions.  Release/sticky checks (and therefore disclosure sets)
-        are per-requester, so built items cache under the requester; the
-        bindings are recomputed against *this* query's variable names."""
+        solutions, on every serve: release and sticky checks are per
+        requester (and cached per session), and what the requester already
+        holds changes as the session goes on.  Bindings are unified against
+        *this* query's variable names."""
         items: list[AnswerItem] = []
         answered_keys: set[tuple] = set()
-        cache = node.items_for.setdefault(requester, {})
         limit = 1 if goal.is_ground() else self.max_answers
         for answer_key, (answered, solution) in list(node.answers.items()):
             if len(items) >= limit:
@@ -588,22 +537,16 @@ class Peer:
                                    Substitution.empty())
             if subst is None:
                 continue
-            cached = cache.get(answer_key)
-            if cached is None:
-                built = yield from self._build_answer_item_steps(
-                    goal, solution, requester, session,
-                    answered=answered)
-                cached = cache[answer_key] = (
-                    built if built is not None else False)
-            if cached is False:
-                continue  # withheld for this requester (release denied)
             bindings = {
                 variable.name: subst.resolve(variable)
                 for variable in goal.variables()
                 if subst.lookup(variable) is not None
             }
-            items.append(_replace(cached, bindings=bindings))
-            answered_keys.add(answer_key)
+            item = yield from self._build_answer_item_steps(
+                answered, solution, bindings, requester, session)
+            if item is not None:
+                items.append(item)
+                answered_keys.add(answer_key)
         return items, answered_keys
 
     def _table_fixpoint_steps(self, node: TableNode, message: QueryMessage,
@@ -625,7 +568,6 @@ class Peer:
             for _ in range(self.MAX_FIXPOINT_ROUNDS):
                 rounds += 1
                 session.counters["table_fixpoint_rounds"] += 1
-                _TABLING_EVENTS.labels("fixpoint_rounds").inc()
                 yield from self._table_pass_steps(
                     node, message, session, requester)
                 if not node.grew:
@@ -660,7 +602,6 @@ class Peer:
                 threshold=node.order)
             session.log("table-notify", self.name, owner,
                         f"complete >= order {node.order}")
-            _TABLING_EVENTS.labels("completions_sent").inc()
             try:
                 outcome = yield Suspension(
                     RemoteCall(notice, session, one_way=True))
@@ -669,36 +610,28 @@ class Peer:
             except (TransientNetworkError, MessageTooLargeError,
                     SignatureError, PeerUnavailableError) as error:
                 session.counters["table_complete_lost"] += 1
-                _TABLING_EVENTS.labels("completions_lost").inc()
                 session.log("table-notify-lost", self.name, owner, str(error))
 
     def _handle_table_complete(self,
                                message: TableCompleteMessage) -> None:
         session = self._session(message.session_id, message.sender)
         promoted = session.complete_tables(self.name, message.threshold)
-        _TABLING_EVENTS.labels("completions_received").inc()
         session.log("table-complete", self.name, message.sender,
                     f"{promoted} table(s) at order >= {message.threshold}")
         return None
 
     def _build_answer_item_steps(
         self,
-        goal: Literal,
+        answered: Literal,
         solution: Solution,
+        bindings: dict,
         requester: str,
         session: Session,
-        answered: Optional[Literal] = None,
     ):
         """Step-generator form of answer-item construction; release and
         sticky obligations may trigger counter-queries, which suspend.
-        Returns the :class:`AnswerItem`, or ``None`` when withheld.
-
-        ``answered`` overrides the derived literal when serving from a goal
-        table, whose stored solutions were produced for a different query's
-        variable naming."""
-        if answered is None:
-            answered = goal.apply(solution.subst)
-
+        Returns the :class:`AnswerItem` for the derived literal
+        ``answered``, or ``None`` when withheld."""
         allowed = yield from self._answer_releasable_steps(
             answered, solution, requester, session)
         if not allowed:
@@ -773,11 +706,6 @@ class Peer:
                 credential, requester, session)
 
         deltas = self._deltas_enabled()
-        bindings = {
-            variable.name: solution.subst.resolve(variable)
-            for variable in goal.variables()
-            if solution.subst.lookup(variable) is not None
-        }
         for credential in disclosed:
             session.mark_holder(credential.serial, requester)
             session.mark_holder(credential.serial, self.name)
@@ -836,7 +764,7 @@ class Peer:
                 drop_peers=frozenset() if allow_remote else frozenset({requester}),
             )
             session.counters["release_checks"] += 1
-            solutions = yield from collect_solutions(context.engine.iter_query(
+            solutions = yield from collect_solutions(context.iter_query(
                 obligations, subst=subst, max_solutions=self.max_answers))
             for solution in solutions:
                 answered = bound_goal.apply(solution.subst)

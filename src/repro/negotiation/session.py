@@ -3,10 +3,15 @@
 A :class:`Session` spans one negotiation — the initial query plus every
 nested counter-query, disclosure, and release check it triggers.  It owns:
 
-- **loop detection** — the set of in-flight ``(asker, askee, goal-pattern)``
-  triples; re-entering one fails that proof branch, which (together with
-  the nesting bound) gives the termination guarantee the paper lists as
-  future work (§6, tested in E10);
+- **goal tables** — one per answered ``(peer, goal)``: a query that
+  re-enters an active table subscribes to its answers so far, and the
+  cycle's leader iterates to a fixpoint (GEM), which (together with the
+  nesting bound) gives the termination guarantee the paper lists as future
+  work (§6, tested in E10 and E18);
+- **loop detection** for evaluations with no table (release guards,
+  ``$``-policy grants, local queries) — the set of in-flight
+  ``(asker, askee, goal-pattern)`` triples; re-entering one fails that
+  proof branch;
 - **per-peer received-credential overlays** — statements disclosed during
   this session, kept apart from each peer's long-term stores;
 - **the transcript** — an ordered log of every observable event, which the
@@ -62,9 +67,10 @@ def reset_session_ids() -> None:
     _session_counter = itertools.count(1)
 
 
-# Goal-table lifecycle (GEM-style distributed tabling, ``--tabling gem``):
-# ACTIVE while an evaluation pass over the goal is in progress, TENTATIVE
-# once a pass finished but the table's SCC may still grow, COMPLETE once the
+# Goal-table lifecycle (GEM-style distributed tabling, the answering path
+# of every query): ACTIVE while an evaluation pass over the goal is in
+# progress, TENTATIVE once a pass finished but the table's SCC may still
+# grow (or the evaluation lost answers to a failure), COMPLETE once the
 # SCC's completion leader has detected a fixpoint.
 TABLE_ACTIVE = "active"
 TABLE_TENTATIVE = "tentative"
@@ -79,11 +85,11 @@ class TableNode:
     with the lowest order reachable from the cycle; it alone runs fixpoint
     rounds and broadcasts completion.  ``answers`` accumulates solutions
     monotonically across passes, keyed by the canonical form of the answered
-    literal; ``items_for`` caches the per-requester wire items built from
-    them (disclosure decisions are per requester)."""
+    literal; each serve builds its wire items from them for the asking
+    requester."""
 
     __slots__ = ("owner", "goal_key", "order", "status", "answers",
-                 "items_for", "min_dep", "grew", "passes")
+                 "min_dep", "grew", "passes")
 
     def __init__(self, owner: str, goal_key: tuple, order: int) -> None:
         self.owner = owner
@@ -91,7 +97,6 @@ class TableNode:
         self.order = order
         self.status = TABLE_ACTIVE
         self.answers: dict[tuple, object] = {}
-        self.items_for: dict[str, dict[tuple, object]] = {}
         # Per-pass bookkeeping, reset by begin_pass():
         self.min_dep: Optional[int] = None   # lowest incomplete dep order seen
         self.grew = False                    # did this pass add any answer?
@@ -212,6 +217,17 @@ class Session:
 
     def nesting_available(self) -> bool:
         return self.depth < self.max_nesting
+
+    # Counters (and counted transcript kinds) that move when an evaluation
+    # loses answers: a branch failed on the wire, a provider degraded, a
+    # sub-query was not issued or was refused for the nesting budget.
+    ANSWER_LOSSES = ("network_failures", "oversized_messages",
+                     "corrupt_payloads", "degraded_answers",
+                     "nesting_exhausted", "exhausted")
+
+    def answer_losses(self) -> int:
+        counters = self.counters
+        return sum(counters[name] for name in self.ANSWER_LOSSES)
 
     # -- goal tables (GEM distributed tabling) ---------------------------------------
 

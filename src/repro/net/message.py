@@ -251,7 +251,7 @@ def dedup_answer_credentials(
 @dataclass(frozen=True, slots=True)
 class TableAnswerMessage(AnswerMessage):
     """Incremental reply from a goal table that is not yet complete
-    (GEM-style distributed tabling, ``--tabling gem``).
+    (GEM-style distributed tabling, the answering path of every query).
 
     ``items`` carries the table's *entire current* answer set — replaying
     the full set (rather than per-subscriber deltas) keeps join goals sound

@@ -187,10 +187,6 @@ class Transport:
         # Per-session disclosure deltas: repeat credentials travel as
         # CredentialRef hashes resolved from the receiver's session cache.
         self.disclosure_deltas = disclosure_deltas
-        # Cyclic-goal strategy: "inflight" prunes re-entrant queries (the
-        # paper's behaviour); "gem" evaluates them via per-goal tables with
-        # distributed completion detection (set by ``--tabling gem``).
-        self.tabling = "inflight"
         self.stats = TransportStats()
         # Monotonic simulated clock: advances with message latency, injected
         # delay, and retry backoff; never reset (deadlines anchor to it).

@@ -172,6 +172,23 @@ class Tracer:
         self.current = span
         return previous
 
+    def resume_under(self, span: Optional[Span], steps):
+        """Drive the step generator ``steps`` with ``span`` current while it
+        executes: each item it yields reaches the caller with the caller's
+        own span restored, and whatever the caller sends back resumes
+        ``steps``.  Returns the generator's return value; ending ``span``
+        stays with the caller."""
+        outcome = None
+        while True:
+            previous = self.set_current(span)
+            try:
+                item = steps.send(outcome)
+            except StopIteration as stop:
+                return stop.value
+            finally:
+                self.set_current(previous)
+            outcome = yield item
+
     # -- events -------------------------------------------------------------------
 
     def event(self, name: str, parent=_CURRENT, **attrs) -> None:

@@ -186,19 +186,10 @@ def run_negotiation(
     goal: Literal,
     deadline_ms: Optional[float] = None,
 ) -> NegotiationResult:
-    """Synchronous facade over the event loop: start one negotiation, pump
-    to quiescence, absorb."""
-    transport = requester.transport
-    if transport is None:
-        raise RuntimeError(
-            f"peer {requester.name!r} is not attached to a transport")
-    scheduler = scheduler_for(transport)
-    scheduler.begin_run()
-    driver = _NegotiationDriver(
-        scheduler, requester, provider_name, goal, deadline_ms)
-    driver.start()
-    scheduler.run_until_idle()
-    return driver.absorb()
+    """Synchronous facade over the event loop: :func:`run_many` of one
+    negotiation."""
+    spec = NegotiationSpec(requester, provider_name, goal, deadline_ms)
+    return run_many([spec]).results[0]
 
 
 def run_many(

@@ -8,11 +8,10 @@ Two institutions recognise each other's members:
 
 Querying either institution for ``member(X)`` therefore crosses the wire
 in both directions on the *same* goal — the canonical mutual-recursion
-shape that in-flight pruning (``--tabling inflight``) cuts at the back
-edge and GEM-style distributed tabling (``--tabling gem``) evaluates with
-per-goal tables and completion detection.  Both strategies must return
-the same sound, complete answer set here: every local member of either
-institution is a member of both.
+shape, which GEM-style distributed tabling evaluates with per-goal tables,
+a subscription at the back edge, and completion detection.  The answer
+set must be sound and complete: every local member of either institution
+is a member of both.
 
 The membership conclusions are public (``$ true``), so the scenario
 isolates the tabling machinery from release-policy effects.

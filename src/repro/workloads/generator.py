@@ -244,7 +244,7 @@ def build_fanout_workload(width: int, key_bits: int = 512) -> Workload:
 
 
 # ---------------------------------------------------------------------------
-# E18: mutually recursive cross-peer policies (tabling strategy sweeps)
+# E18: mutually recursive cross-peer policies (tabling depth sweeps)
 # ---------------------------------------------------------------------------
 
 def build_mutual_membership_workload(depth: int = 1,
@@ -257,8 +257,7 @@ def build_mutual_membership_workload(depth: int = 1,
     deeper pair additionally delegates to the pair above it, so the goal
     ``member(X)`` on ``Org0a`` crosses ``depth`` nested mutual cycles
     before bottoming out.  Every ``Org<i><side>`` holds one local member,
-    so the complete answer relation has ``2 * (depth + 1)`` tuples —
-    identical under ``--tabling inflight`` and ``--tabling gem``."""
+    so the complete answer relation has ``2 * (depth + 1)`` tuples."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     world = World(key_bits=key_bits)

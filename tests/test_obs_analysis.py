@@ -437,6 +437,43 @@ class TestCliAnalysis:
         assert output.startswith("critical root:")
         assert "blame by category" in output
 
+    def test_table_pass_contains_its_remote_evaluation(self, tmp_path):
+        # The CI clean negotiation: each remote sub-query E-Learn's table
+        # pass issues is a child of that pass, so the pass is charged no
+        # time the network already accounts for.
+        world_path = tmp_path / "world.json"
+        trace_path = tmp_path / "clean.jsonl"
+        assert run_cli("save-demo", "scenario2", str(world_path))[0] == 0
+        status, _ = run_cli(
+            "negotiate", str(world_path), "--requester", "Bob",
+            "--provider", "E-Learn",
+            "--goal", 'enroll(cs101, "Bob", Company, Email, 0)',
+            "--trace", str(trace_path))
+        assert status == 0
+        records = [json.loads(line)
+                   for line in trace_path.read_text().splitlines()]
+        spans = [r for r in records if r["t"] == "span"]
+        passes = [s for s in spans if s["name"] == "negotiation.table.pass"]
+        nested = 0
+        for remote in spans:
+            if remote["name"] != "negotiation.remote":
+                continue
+            enclosing = [p for p in passes
+                         if p["attrs"]["peer"] == remote["attrs"]["peer"]
+                         and p["start"] <= remote["start"]
+                         and remote["end"] <= p["end"]]
+            if enclosing:
+                innermost = max(enclosing, key=lambda p: (p["start"], p["id"]))
+                assert remote["parent"] == innermost["id"], remote
+                nested += 1
+        assert nested >= 2
+        status, output = run_cli("trace-view", str(trace_path),
+                                 "--critical-path")
+        assert status == 0
+        tabling = [line.split() for line in output.splitlines()
+                   if line.strip().startswith("tabling ")]
+        assert tabling and tabling[0][1] == "0.000ms", output
+
     def test_demo_flight_recorder_writes_dump_file(self, tmp_path):
         recorder_path = tmp_path / "flightrec.jsonl"
         status, _ = run_cli(

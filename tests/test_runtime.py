@@ -162,6 +162,27 @@ class TestSessionCacheHygiene:
         assert len(transport.sessions) == 0
         assert scheduler_for(transport)._pending == {}
 
+    def test_negotiation_leaves_no_cyclic_garbage(self):
+        # Evaluation contexts, sessions and transcripts are freed by
+        # reference counting alone: nothing waits for the cyclic collector.
+        import gc
+
+        from repro.scenarios.elearn import (
+            build_scenario1,
+            run_discount_negotiation,
+        )
+
+        scenario = build_scenario1(key_bits=512)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_discount_negotiation(scenario)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert result.granted
+        assert garbage == 0
+
     def test_capacity_bound_evicts_oldest_and_purges_caches(self):
         transport = Transport(max_sessions=2)
         for index in range(4):

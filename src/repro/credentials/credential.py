@@ -16,12 +16,12 @@ ring.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.crypto.canonical import rule_signing_bytes
 from repro.crypto.keys import KeyPair, KeyRing
-from repro.datalog.ast import Rule
+from repro.datalog.ast import Literal, Rule
 from repro.datalog.terms import Constant
 from repro.errors import (
     CredentialError,
@@ -62,6 +62,16 @@ class Credential:
     # attached so downstream holders can honour it when re-disseminating.
     # Holder-side only - not covered by the signature or the serial.
     sticky_guard: Optional[tuple] = None
+    # Derived from the immutable rule, excluded from eq/hash/repr like
+    # Literal._ground: the statement the signature vouches for (set on
+    # construction) and the wire size (set by repro.net.message).
+    statement: Optional[Rule] = field(
+        default=None, init=False, repr=False, compare=False)
+    _wire_size: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "statement", vouched_statement(self.rule))
 
     @property
     def issuers(self) -> list[str]:
@@ -76,6 +86,26 @@ class Credential:
 
     def __repr__(self) -> str:
         return f"Credential({self.rule.head}, issuers={self.issuers}, serial={self.serial[:12]})"
+
+
+def vouched_statement(rule: Rule) -> Optional[Rule]:
+    """The ``signedBy [A] => @ A`` axiom (§3.2): ``rule`` with its head
+    attributed to the primary issuer, or ``None`` when the signature cannot
+    vouch for it (no valid signer, or a foreign authority in the head)."""
+    try:
+        issuer = rule_signer_names(rule)[0]
+    except (CredentialError, IndexError):
+        return None
+    head = rule.head
+    if not head.authority:
+        # Bare head (e.g. visaCard("IBM") signedBy ["VISA"]): the signature
+        # makes it an @-issuer statement.
+        return replace(rule, head=Literal(head.predicate, head.args,
+                                          (Constant(issuer, quoted=True),)))
+    innermost = head.authority[0]
+    if isinstance(innermost, Constant) and innermost.value == issuer:
+        return rule
+    return None
 
 
 def compute_serial(rule: Rule, not_before: Optional[float], not_after: Optional[float]) -> str:

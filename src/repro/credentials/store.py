@@ -23,8 +23,7 @@ from typing import Iterable, Iterator, Optional
 
 from repro.credentials.credential import Credential
 from repro.datalog.ast import Literal
-from repro.datalog.sld import unify_literals
-from repro.datalog.substitution import Substitution
+from repro.datalog.terms import Constant
 
 Indicator = tuple[str, int]
 
@@ -90,23 +89,23 @@ class CredentialStore:
     def get(self, serial: str) -> Optional[Credential]:
         return self._by_serial.get(serial)
 
-    def candidates(self, indicator: Indicator) -> list[Credential]:
-        """Credentials whose rule head has this predicate indicator —
-        the raw index bucket, before any unification."""
-        return list(self._by_indicator.get(indicator, ()))
+    def has_candidates(self, indicator: Indicator) -> bool:
+        """True when some credential's rule head has this predicate
+        indicator (the index bucket, before any unification)."""
+        return bool(self._by_indicator.get(indicator))
 
-    def matching(self, goal: Literal) -> list[Credential]:
-        """Credentials whose rule head unifies with ``goal``."""
-        empty = Substitution.empty()
-        results = []
-        for credential in self._by_indicator.get(goal.indicator, ()):  # indexed
-            head = credential.rule.rename_apart().head
-            if unify_literals(goal, head, empty) is not None:
-                results.append(credential)
-        return results
-
-    def by_issuer(self, issuer: str) -> list[Credential]:
-        return [c for c in self._by_serial.values() if issuer in c.issuers]
+    def vouching_for(self, goal: Literal) -> list[Credential]:
+        """The credentials, in store order, whose vouched statement (see
+        :func:`~repro.credentials.credential.vouched_statement`) may unify
+        with ``goal``: an authority chain of the same length, and no
+        position where both sides hold different constants.  A cheap
+        filter that spares the engine renaming the rest apart."""
+        matches = []
+        for credential in self._by_indicator.get(goal.indicator, ()):
+            statement = credential.statement
+            if statement is not None and _may_unify(statement.head, goal):
+                matches.append(credential)
+        return matches
 
     def credentials(self) -> Iterator[Credential]:
         return iter(self._by_serial.values())
@@ -122,3 +121,16 @@ class CredentialStore:
 
     def __repr__(self) -> str:
         return f"CredentialStore({len(self)} credentials)"
+
+
+def _may_unify(head: Literal, goal: Literal) -> bool:
+    """False when ``head`` and ``goal`` (same indicator) cannot unify.
+    Constants compare with ``!=`` as in unification: interning is optional."""
+    if len(head.authority) != len(goal.authority):
+        return False
+    for mine, theirs in zip(head.args + head.authority,
+                            goal.args + goal.authority):
+        if (isinstance(mine, Constant) and isinstance(theirs, Constant)
+                and mine != theirs):
+            return False
+    return True

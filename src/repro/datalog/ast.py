@@ -159,9 +159,10 @@ class Rule:
     guard: Optional[Goals] = None
     rule_context: Optional[Goals] = None
     signers: tuple[Term, ...] = field(default=())
-    # Same lazily-computed groundness flag as Literal: ground rules (facts,
-    # shipped credentials) need no renaming before resolution.
-    _ground: Optional[bool] = field(
+    # Lazily-computed variable set, excluded from eq/hash/repr like
+    # Literal._ground: ground rules (facts, shipped credentials) need no
+    # renaming, and rules without Requester/Self no rebinding.
+    _variables: Optional[frozenset[Variable]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -199,16 +200,20 @@ class Rule:
 
     # -- variables / substitution ---------------------------------------------
 
-    def variables(self) -> set[Variable]:
-        result = self.head.variables()
-        for lit in self.body:
-            result |= lit.variables()
-        for goals in (self.guard or (), self.rule_context or ()):
-            for lit in goals:
-                result |= lit.variables()
-        for term in self.signers:
-            result |= variables_in(term)
-        return result
+    def variables(self) -> frozenset[Variable]:
+        variables = self._variables
+        if variables is None:
+            found = self.head.variables()
+            for lit in self.body:
+                found |= lit.variables()
+            for goals in (self.guard or (), self.rule_context or ()):
+                for lit in goals:
+                    found |= lit.variables()
+            for term in self.signers:
+                found |= variables_in(term)
+            variables = frozenset(found)
+            object.__setattr__(self, "_variables", variables)
+        return variables
 
     def apply(self, subst: Substitution) -> "Rule":
         if self.is_ground():
@@ -246,11 +251,7 @@ class Rule:
         return Rule(self.head, self.body, None, None, self.signers)
 
     def is_ground(self) -> bool:
-        ground = self._ground
-        if ground is None:
-            ground = not self.variables()
-            object.__setattr__(self, "_ground", ground)
-        return ground
+        return not self.variables()
 
     # -- rendering -------------------------------------------------------------
 

@@ -335,9 +335,14 @@ class EvalContext(SLDEngine):
         subst: Substitution,
         depth: int,
     ) -> Iterator[tuple[Substitution, ProofNode]]:
+        resolved = None
         seen_serials: set[str] = set()
         for store in self.stores:
-            for credential in store.candidates(goal.indicator):
+            if not store.has_candidates(goal.indicator):
+                continue
+            if resolved is None:
+                resolved = goal.apply(subst)
+            for credential in store.vouching_for(resolved):
                 if credential.serial in seen_serials:
                     continue
                 seen_serials.add(credential.serial)
@@ -350,23 +355,10 @@ class EvalContext(SLDEngine):
         depth: int,
         credential: Credential,
     ) -> Iterator[tuple[Substitution, ProofNode]]:
-        try:
-            issuer = credential.primary_issuer
-        except CredentialError:
-            return
-        renamed = credential.rule.rename_apart()
-        head = renamed.head
-        if not head.authority:
-            # Bare-head credential (e.g. visaCard("IBM") signedBy ["VISA"]):
-            # the signature makes it an @-issuer statement.
-            head = Literal(head.predicate, head.args,
-                           (Constant(issuer, quoted=True),))
-        innermost = head.authority[0]
-        if not (isinstance(innermost, Constant) and innermost.value == issuer):
-            # The signature cannot vouch for a statement attributed to a
-            # different authority (Alice cannot self-certify @ "UIUC").
-            return
-        head_subst = unify_literals(goal, head, subst)
+        # The statement the signature vouches for, issuer-attributed head
+        # and all (a ground one needs no renaming).
+        renamed = credential.statement.rename_apart()
+        head_subst = unify_literals(goal, renamed.head, subst)
         if head_subst is None:
             return
         if not renamed.body:
@@ -427,12 +419,14 @@ class EvalContext(SLDEngine):
             target = outer.value
             if target == self.peer.name or target in self.drop_peers:
                 continue
-            if any(store.candidates(resolved.indicator) for store in self.stores):
+            if any(store.has_candidates(resolved.indicator)
+                   for store in self.stores):
                 continue
             if next(iter(self.kb.rules_for(resolved)), None) is not None:
                 continue
             reduced = resolved.drop_outer_authority()
-            if any(store.candidates(reduced.indicator) for store in self.stores):
+            if any(store.has_candidates(reduced.indicator)
+                   for store in self.stores):
                 continue
             key = (target, canonical_literal(reduced))
             if key in self._gather_replies:

@@ -568,8 +568,11 @@ class Peer:
             for _ in range(self.MAX_FIXPOINT_ROUNDS):
                 rounds += 1
                 session.counters["table_fixpoint_rounds"] += 1
-                yield from self._table_pass_steps(
+                passes = self._table_pass_steps(
                     node, message, session, requester)
+                if span is not None:
+                    passes = tracer.resume_under(span, passes)
+                yield from passes
                 if not node.grew:
                     break
             else:
@@ -602,9 +605,11 @@ class Peer:
                 threshold=node.order)
             session.log("table-notify", self.name, owner,
                         f"complete >= order {node.order}")
+            call = RemoteCall(notice, session, one_way=True)
+            if tracer is not None:
+                call.trace_ctx = tracer.current
             try:
-                outcome = yield Suspension(
-                    RemoteCall(notice, session, one_way=True))
+                outcome = yield Suspension(call)
                 if isinstance(outcome, BaseException):
                     raise outcome
             except (TransientNetworkError, MessageTooLargeError,

@@ -99,9 +99,11 @@ def _credential_bytes(credential: Credential) -> bytes:
 
 
 def _credential_size(credential: Credential) -> int:
-    size = len(canonical_bytes(credential.rule))
-    size += sum(len(s) for s in credential.signatures)
-    size += len(_utf8(credential.serial))
+    """``len(_credential_bytes(credential))``, once per (immutable) credential."""
+    size = credential._wire_size
+    if size is None:
+        size = len(_credential_bytes(credential))
+        object.__setattr__(credential, "_wire_size", size)
     return size
 
 

@@ -14,6 +14,7 @@ negotiation engine installs :func:`binder` as the SLD engine's
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from repro.datalog.ast import Literal, Rule
@@ -24,6 +25,7 @@ REQUESTER = Variable("Requester")
 SELF = Variable("Self")
 
 
+@lru_cache(maxsize=4096)  # substitutions are persistent: share one per pair
 def _binding(requester: str, self_name: str) -> Substitution:
     return (
         Substitution.empty()
@@ -53,7 +55,7 @@ def binder(requester: str, self_name: str) -> Callable[[Rule], Rule]:
     binding = _binding(requester, self_name)
 
     def transform(rule: Rule) -> Rule:
-        return rule.apply(binding)
+        return rule.apply(binding) if mentions_pseudovars(rule) else rule
 
     return transform
 

@@ -120,19 +120,11 @@ def credential_release_heads(credential) -> list[Literal]:
     with its authority chain (``visaCard("IBM") @ "VISA"``) — the signature
     makes them the same statement, and policies may use either form.
     """
-    from repro.datalog.terms import Constant
-
     head = credential.rule.head
-    heads = [head]
-    if not head.authority:
-        issuers = [
-            t.value for t in credential.rule.signers
-            if isinstance(t, Constant) and isinstance(t.value, str)
-        ]
-        if issuers:
-            heads.append(Literal(head.predicate, head.args,
-                                 (Constant(issuers[0], quoted=True),)))
-    return heads
+    statement = credential.statement
+    if statement is None or statement.head is head:
+        return [head]
+    return [head, statement.head]
 
 
 def credential_release_decisions(

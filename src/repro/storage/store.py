@@ -18,7 +18,7 @@ Two backends:
   snapshot written atomically (temp file + ``os.replace``, see
   :mod:`repro.storage.atomic`) and truncates the journal.  Opening a store
   loads the snapshot and replays the journal; a torn trailing journal line
-  (a crash mid-append) is discarded and counted, never fatal.
+  (a crash mid-append) is discarded, counted and cut off, never fatal.
 
 Determinism: no store operation reads the wall clock, fsyncs, or draws
 randomness.  Transaction ids come from a process-wide counter with a reset
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
@@ -157,10 +158,13 @@ class DurableStore(StateStore):
         <directory>/journal.jsonl    one record per mutation since
 
     Journal records are ``{"txn": n, "op": ..., "ns": ..., "key": ...,
-    "value": ...}``.  Replay applies them in order on top of the snapshot;
-    an undecodable *trailing* line is a torn append from a crash and is
-    dropped (counted in ``recovered``), while a corrupt line *followed by
-    valid ones* indicates real damage and raises :class:`StorageError`.
+    "value": ...}``, one per line, written and flushed through one open
+    append handle.  Replay applies them in order on top of the snapshot.
+    A record counts once its newline is on disk: whatever follows the last
+    newline, or an undecodable last line, is a torn append from a crash,
+    dropped (counted in ``recovered``) and cut from the file.  A corrupt
+    line *followed by others* is real damage and raises
+    :class:`StorageError`.
     """
 
     backend = "durable"
@@ -177,6 +181,7 @@ class DurableStore(StateStore):
         # trailing lines discarded.  Recovery observability reads these.
         self.recovered = {"journal_records": 0, "torn_lines": 0,
                           "from_snapshot": False}
+        self._handle = None  # the journal's append handle, opened on demand
         self._load()
 
     # -- open-time recovery ----------------------------------------------------
@@ -193,20 +198,24 @@ class DurableStore(StateStore):
             self.recovered["from_snapshot"] = True
         if not self._journal_path.exists():
             return
-        lines = self._journal_path.read_text().split("\n")
+        data = self._journal_path.read_bytes()
+        lines = data.split(b"\n")
         records = []
-        for index, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if any(rest for rest in lines[index + 1:]):
-                    raise StorageError(
-                        f"corrupt journal line {index + 1} in "
-                        f"{self._journal_path} (not a torn tail)")
-                self.recovered["torn_lines"] += 1
-                break
+        end = 0  # offset just past the last applied record's newline
+        for index, line in enumerate(lines[:-1]):  # newline-terminated
+            if line:
+                try:
+                    records.append(json.loads(line))
+                except (json.JSONDecodeError, UnicodeDecodeError):
+                    if any(lines[index + 1:]):
+                        raise StorageError(
+                            f"corrupt journal line {index + 1} in "
+                            f"{self._journal_path} (not a torn tail)")
+                    break
+            end += len(line) + 1
+        if end < len(data):
+            self.recovered["torn_lines"] += 1
+            os.truncate(self._journal_path, end)
         for record in records:
             self._apply(record)
         self.recovered["journal_records"] = len(records)
@@ -244,14 +253,21 @@ class DurableStore(StateStore):
             record["value"] = value
         elif op == "restore":
             record["value"] = self.snapshot()
-        with open(self._journal_path, "a") as handle:
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        if self._handle is None:
+            self._handle = open(self._journal_path, "a")
+        self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._handle.flush()
 
     def checkpoint(self) -> None:
         """Collapse journal + snapshot into a fresh snapshot, atomically,
         then truncate the journal.  Crash-safe at every step: the snapshot
         replace is atomic, and until the truncate lands the journal merely
-        replays mutations the snapshot already contains (idempotent)."""
+        replays mutations the snapshot already contains (idempotent).  The
+        truncate replaces the file, so the append handle is closed first
+        (:meth:`close` and :meth:`destroy` checkpoint too)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
         atomic_write_text(self._snapshot_path,
                           json.dumps(self._data, separators=(",", ":"),
                                      sort_keys=True))

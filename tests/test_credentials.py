@@ -159,22 +159,23 @@ class TestStore:
         assert not store.add(student_id)
         assert len(store) == 1
 
-    def test_matching_by_head(self, student_id, delegation):
+    def test_vouching_for_by_head(self, student_id, delegation):
         store = CredentialStore([student_id, delegation])
-        matches = store.matching(parse_literal('student("Alice") @ "UIUC Registrar"'))
+        matches = store.vouching_for(
+            parse_literal('student("Alice") @ "UIUC Registrar"'))
         assert matches == [student_id]
 
-    def test_matching_unifies_variables(self, delegation):
+    def test_vouching_for_unifies_variables(self, delegation):
         store = CredentialStore([delegation])
-        assert store.matching(parse_literal('student("Bob") @ "UIUC"'))
+        assert store.vouching_for(parse_literal('student("Bob") @ "UIUC"'))
 
     def test_candidates_by_indicator(self, student_id, delegation):
         store = CredentialStore([student_id, delegation])
-        assert len(store.candidates(("student", 1))) == 2
-
-    def test_by_issuer(self, student_id, delegation):
-        store = CredentialStore([student_id, delegation])
-        assert store.by_issuer("UIUC") == [delegation]
+        assert store.has_candidates(("student", 1))
+        assert not store.has_candidates(("student", 2))
+        for credential in (student_id, delegation):
+            store.remove(credential.serial)
+        assert not store.has_candidates(("student", 1))
 
     def test_remove(self, student_id):
         store = CredentialStore([student_id])

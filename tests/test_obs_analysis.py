@@ -474,6 +474,41 @@ class TestCliAnalysis:
                    if line.strip().startswith("tabling ")]
         assert tabling and tabling[0][1] == "0.000ms", output
 
+    def test_gem_leader_spans_nest_under_their_fixpoint(self, tmp_path):
+        # The mutual demo's SCC leader re-runs its table pass under a
+        # fixpoint span and broadcasts completion from its own answer: each
+        # repeated pass is a child of the fixpoint, the completion notice
+        # a child of the leader's peer.answer, so neither the fixpoint nor
+        # the notice is charged time its children already account for.
+        trace_path = tmp_path / "mutual.jsonl"
+        status, _ = run_cli("demo", "mutual", "--trace", str(trace_path))
+        assert status == 0
+        records = [json.loads(line)
+                   for line in trace_path.read_text().splitlines()]
+        spans = {r["id"]: r for r in records if r["t"] == "span"}
+        fixpoints = [s for s in spans.values()
+                     if s["name"] == "negotiation.table.fixpoint"]
+        assert fixpoints
+        for fixpoint in fixpoints:
+            passes = [s for s in spans.values()
+                      if s["name"] == "negotiation.table.pass"
+                      and s["parent"] == fixpoint["id"]]
+            assert len(passes) == fixpoint["attrs"]["rounds"], fixpoint
+        notices = [s for s in spans.values() if s["name"] == "table-notify"]
+        assert notices
+        for notice in notices:
+            parent = spans[notice["parent"]]
+            assert parent["name"] == "peer.answer", parent
+            assert parent["attrs"]["peer"] == notice["attrs"]["sender"]
+        status, output = run_cli("trace-view", str(trace_path),
+                                 "--critical-path")
+        assert status == 0
+        blame = {line.split()[0]: line.split()[1]
+                 for line in output.splitlines()
+                 if line.startswith("  ") and line.split()[1].endswith("ms")}
+        assert blame["tabling"] == "0.000ms", output
+        assert blame["sld-eval"] == "0.000ms", output
+
     def test_demo_flight_recorder_writes_dump_file(self, tmp_path):
         recorder_path = tmp_path / "flightrec.jsonl"
         status, _ = run_cli(

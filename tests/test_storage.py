@@ -51,13 +51,19 @@ def _quickstart():
 # ---------------------------------------------------------------------------
 
 
-def _backends(tmp_path):
-    return [MemoryStore(), DurableStore(tmp_path / "durable")]
+@pytest.fixture
+def backends(tmp_path):
+    """One store per backend, closed at teardown (a durable store holds its
+    journal open)."""
+    stores = [MemoryStore(), DurableStore(tmp_path / "durable")]
+    yield stores
+    for store in stores:
+        store.close()
 
 
 class TestStoreContract:
-    def test_put_get_delete_roundtrip(self, tmp_path):
-        for store in _backends(tmp_path):
+    def test_put_get_delete_roundtrip(self, backends):
+        for store in backends:
             store.put("wallet", "s1", {"x": 1})
             assert store.get("wallet", "s1") == {"x": 1}
             assert store.get("wallet", "missing", "dflt") == "dflt"
@@ -65,14 +71,14 @@ class TestStoreContract:
             assert not store.delete("wallet", "s1")
             assert store.get("wallet", "s1") is None
 
-    def test_empty_buckets_vanish(self, tmp_path):
-        for store in _backends(tmp_path):
+    def test_empty_buckets_vanish(self, backends):
+        for store in backends:
             store.put("ns", "k", 1)
             store.delete("ns", "k")
             assert store.namespaces() == []
 
-    def test_drop_namespace(self, tmp_path):
-        for store in _backends(tmp_path):
+    def test_drop_namespace(self, backends):
+        for store in backends:
             store.put("overlay:s1", "a", 1)
             store.put("overlay:s1", "b", 2)
             store.put("wallet", "c", 3)
@@ -80,8 +86,8 @@ class TestStoreContract:
             assert not store.drop("overlay:s1")
             assert store.namespaces() == ["wallet"]
 
-    def test_snapshot_restore(self, tmp_path):
-        for store in _backends(tmp_path):
+    def test_snapshot_restore(self, backends):
+        for store in backends:
             store.put("wallet", "s1", {"x": 1})
             snap = store.snapshot()
             store.put("wallet", "s2", {"x": 2})
@@ -91,15 +97,15 @@ class TestStoreContract:
             snap["wallet"]["s1"] = "mutated"
             assert store.get("wallet", "s1") == {"x": 1}
 
-    def test_len_counts_keys(self, tmp_path):
-        for store in _backends(tmp_path):
+    def test_len_counts_keys(self, backends):
+        for store in backends:
             store.put("a", "1", None)
             store.put("b", "1", None)
             store.put("b", "2", None)
             assert len(store) == 3
 
-    def test_closed_store_refuses_mutations(self, tmp_path):
-        for store in _backends(tmp_path):
+    def test_closed_store_refuses_mutations(self, backends):
+        for store in backends:
             store.put("ns", "k", 1)
             store.close()
             with pytest.raises(StorageError):
@@ -147,6 +153,8 @@ class TestDurableRecovery:
         assert reopened.items("wallet") == {"s1": {"x": 1}}
         assert reopened.recovered["journal_records"] == 3
         assert not reopened.recovered["from_snapshot"]
+        reopened.close()
+        store.close()
 
     def test_checkpoint_collapses_journal(self, tmp_path):
         store = DurableStore(tmp_path / "peer")
@@ -164,6 +172,8 @@ class TestDurableRecovery:
         store.restore({"wallet": {"s1": {"x": 1}}})
         reopened = DurableStore(tmp_path / "peer")
         assert reopened.snapshot() == {"wallet": {"s1": {"x": 1}}}
+        reopened.close()
+        store.close()
 
     def test_torn_trailing_line_is_discarded(self, tmp_path):
         store = DurableStore(tmp_path / "peer")
@@ -174,12 +184,90 @@ class TestDurableRecovery:
         reopened = DurableStore(tmp_path / "peer")
         assert reopened.get("wallet", "s1") == {"x": 1}
         assert reopened.recovered["torn_lines"] == 1
+        reopened.close()
+        store.close()
+
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        store = DurableStore(tmp_path / "peer")
+        store.put("ns", "a", 1)
+        journal = tmp_path / "peer" / "journal.jsonl"
+        kept = journal.read_bytes()
+        with open(journal, "a") as handle:
+            handle.write('{"txn": 3, "op": "put", "ns": "ns", "ke')
+        reopened = DurableStore(tmp_path / "peer")
+        assert reopened.recovered["torn_lines"] == 1
+        assert journal.read_bytes() == kept
+        reopened.put("ns", "c", 3)
+        reopened.put("ns", "d", 4)
+        again = DurableStore(tmp_path / "peer")
+        assert again.items("ns") == {"a": 1, "c": 3, "d": 4}
+        assert again.recovered["torn_lines"] == 0
+        for opened in (again, reopened, store):
+            opened.close()
+
+    def test_unterminated_record_is_torn(self, tmp_path):
+        # A record counts once its newline is on disk: a whole record cut
+        # off before it is discarded like any torn append, and the next
+        # record starts a line of its own.
+        store = DurableStore(tmp_path / "peer")
+        store.put("ns", "a", 1)
+        journal = tmp_path / "peer" / "journal.jsonl"
+        with open(journal, "a") as handle:
+            handle.write('{"txn":99,"op":"put","ns":"ns","key":"b","value":2}')
+        reopened = DurableStore(tmp_path / "peer")
+        assert reopened.items("ns") == {"a": 1}
+        assert reopened.recovered["torn_lines"] == 1
+        reopened.put("ns", "c", 3)
+        again = DurableStore(tmp_path / "peer")
+        assert again.items("ns") == {"a": 1, "c": 3}
+        assert again.recovered["torn_lines"] == 0
+        for opened in (again, reopened, store):
+            opened.close()
+
+    def test_undecodable_last_line_is_torn(self, tmp_path):
+        store = DurableStore(tmp_path / "peer")
+        store.put("ns", "a", 1)
+        journal = tmp_path / "peer" / "journal.jsonl"
+        kept = journal.read_bytes()
+        with open(journal, "ab") as handle:
+            handle.write(b'{"txn":9,"op":"put","ns":"\xff\xfe\n')
+        reopened = DurableStore(tmp_path / "peer")
+        assert reopened.items("ns") == {"a": 1}
+        assert reopened.recovered["torn_lines"] == 1
+        assert journal.read_bytes() == kept
+        reopened.close()
+        store.close()
+
+    def test_put_after_checkpoint_lands_in_the_new_journal(self, tmp_path):
+        store = DurableStore(tmp_path / "peer")
+        store.put("ns", "a", 1)
+        store.checkpoint()
+        store.put("ns", "b", 2)
+        journal = tmp_path / "peer" / "journal.jsonl"
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [record["key"] for record in records] == ["b"]
+        reopened = DurableStore(tmp_path / "peer")
+        assert reopened.items("ns") == {"a": 1, "b": 2}
+        reopened.close()
+        store.close()
+
+    def test_second_store_beside_an_open_one_replays_every_record(
+            self, tmp_path):
+        store = DurableStore(tmp_path / "peer")
+        for index in range(5):
+            store.put("ns", f"k{index}", index)
+        beside = DurableStore(tmp_path / "peer")
+        assert beside.recovered["journal_records"] == 5
+        assert beside.items("ns") == store.items("ns")
+        beside.close()
+        store.close()
 
     def test_corrupt_mid_journal_raises(self, tmp_path):
         store = DurableStore(tmp_path / "peer")
         store.put("wallet", "s1", {"x": 1})
         journal = tmp_path / "peer" / "journal.jsonl"
         valid = journal.read_text()
+        store.close()
         journal.write_text("GARBAGE\n" + valid)
         with pytest.raises(StorageError, match="not a torn tail"):
             DurableStore(tmp_path / "peer")

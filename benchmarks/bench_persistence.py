@@ -1,21 +1,12 @@
-"""E17 — Persistence overhead and warm-restart wins.
+"""E17 — Persistence overhead.
 
-The storage layer's contract is "cheap when on, paying rent when it
-matters": per-event store writes must not change the shape of a
-negotiation's cost, and what they buy — warm restarts — must beat
-starting cold.  Three rows quantify that:
-
-**Store overhead** — scenario-2 free enrollment with no stores vs with
+A peer's store holds its credential wallet; session state stays in RAM.
+Attaching stores must not change the shape of a negotiation's cost.  Two
+rows quantify that: scenario-2 free enrollment with no stores vs with
 per-peer memory stores vs with durable (journal+snapshot) stores in a
 temp directory.  The ``speedup`` is t_off/t_on: 1.0 means free, lower
 means the store taxes the negotiation.  The regress gate holds the ratio
 against the committed baseline.
-
-**Warm delta restart** — a repeat query to a restarted responder with
-disclosure deltas on.  With a store the restored wire ledger lets round
-two travel as a hash reference; without, the full payload re-ships.
-``speedup`` is cold-round-2 bytes / warm-round-2 bytes — a deterministic
-wire-size ratio, not a timing.
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_persistence.py
 [--quick]``) or under pytest.
@@ -28,11 +19,8 @@ import time
 from pathlib import Path
 
 from repro.bench.reporting import format_table
-from repro.datalog.parser import parse_literal
 from repro.determinism import reset_all
-from repro.net.message import QueryMessage
 from repro.scenarios.services import build_scenario2, run_free_enrollment
-from repro.storage.recovery import restart_peer
 
 REPORT_PATH = Path(__file__).resolve().parent / "reports" / "bench_persistence.json"
 TRAJECTORY = "BENCH_PERSISTENCE_V1"
@@ -87,73 +75,25 @@ def run_store_overhead(repeats: int) -> list[dict]:
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Warm restart of disclosure-delta ledgers
-# ---------------------------------------------------------------------------
-
-def _round2_wire_bytes(warm: bool) -> int:
-    """Round-2 reply size for a repeat query across a responder restart,
-    with (warm) or without (cold) state stores attached."""
-    reset_all()
-    scenario = build_scenario2(key_bits=KEY_BITS)
-    transport = scenario.world.transport
-    transport.disclosure_deltas = True
-    if warm:
-        scenario.world.attach_state_stores("memory")
-    session = transport.sessions.get_or_create(
-        "repeat-session", "Bob", scenario.bob.max_nesting)
-    goal = parse_literal('enroll(cs101, "Bob", Company, Email, 0)')
-    reply = None
-    for round_index in range(2):
-        if round_index == 1:
-            restart_peer(transport, "E-Learn")
-        reply = transport.request(QueryMessage(
-            sender="Bob", receiver="E-Learn", session_id=session.id,
-            goal=goal))
-    size = reply.wire_size()
-    if warm:
-        assert reply.items[0].answer_credential_ref is not None
-        scenario.world.detach_state_stores()
-    return size
-
-
-def run_warm_deltas() -> dict:
-    warm_bytes = _round2_wire_bytes(warm=True)
-    cold_bytes = _round2_wire_bytes(warm=False)
-    return {
-        "benchmark": "warm_restart_deltas",
-        "cold_round2_bytes": cold_bytes,
-        "warm_round2_bytes": warm_bytes,
-        # Deterministic wire-size ratio, not a timing.
-        "speedup": round(cold_bytes / warm_bytes, 3) if warm_bytes else 1.0,
-    }
-
-
 def run_suite(quick: bool = False) -> list[dict]:
     repeats = QUICK_REPEATS if quick else REPEATS
-    rows = run_store_overhead(repeats)
-    rows.append(run_warm_deltas())
-    return rows
+    return run_store_overhead(repeats)
 
 
 def summary_rows(rows: list[dict]) -> list[dict]:
     summary = []
     for row in rows:
         entry = {"benchmark": row["benchmark"]}
-        for key in ("off_ms", "on_ms", "cold_round2_bytes",
-                    "warm_round2_bytes", "speedup"):
+        for key in ("off_ms", "on_ms", "speedup"):
             if key in row:
                 entry[key] = row[key]
         summary.append(entry)
     return summary
 
 
-def test_persistence_overhead_and_warm_restart():
-    """Pytest entry: the acceptance floors of the robustness PR."""
+def test_persistence_overhead():
+    """Pytest entry: the store-overhead acceptance floors."""
     rows = {row["benchmark"]: row for row in run_suite(quick=True)}
-    # A restored ledger shrinks the repeat answer to a reference.
-    assert rows["warm_restart_deltas"]["speedup"] > 1.5, \
-        rows["warm_restart_deltas"]
     # Stores must not change the shape of a negotiation's cost (generous
     # floor — CI timing noise, not the steady-state overhead, sets it).
     assert rows["memory_store_overhead"]["speedup"] > 0.3, \
@@ -173,7 +113,7 @@ def main(argv=None) -> int:
 
     rows = run_suite(quick=args.quick)
     print(format_table(summary_rows(rows),
-                       title="E17 - persistence overhead + warm restart"))
+                       title="E17 - persistence overhead"))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps({
         "experiment": "E17",

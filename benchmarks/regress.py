@@ -61,9 +61,7 @@ GATES = (
     # traces serialised byte-identically, so its 0.8 floor fails the run
     # on any divergence.
     (bench_obs, "observability (E16)", "observability"),
-    # E17: store-overhead t_off/t_on wall ratios (near 1.0) and a
-    # deterministic wire-size ratio whose floor catches a broken ledger
-    # restore.
+    # E17: store-overhead t_off/t_on wall ratios (near 1.0).
     (bench_persistence, "persistence (E17)", "persistence"),
     # E18: mutual-recursion rows carry 1.0 iff gem produced the exact
     # expected answer relation (0.0 otherwise, which always fails), and the

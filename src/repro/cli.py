@@ -151,11 +151,11 @@ def _storage_scope(world, args):
     """Attach per-peer state stores for one CLI run when requested.
 
     ``--store-backend durable --state-dir DIR`` gives every peer a durable
-    store under ``DIR/<peer>/``, so the run's wallets, session ledgers, and
-    cached replies survive a crash (and a rerun pointed at the same
-    directory starts warm).  ``--store-backend memory`` exercises the same
-    write-through paths without touching disk.  Stores are checkpointed and
-    closed on the way out."""
+    store under ``DIR/<peer>/``, so the run's wallets survive a crash (and a
+    rerun pointed at the same directory starts with them).
+    ``--store-backend memory`` exercises the same write-through path
+    without touching disk.  Stores are checkpointed and closed on the way
+    out."""
     backend = getattr(args, "store_backend", None)
     if not backend:
         yield

@@ -85,7 +85,11 @@ class Credential:
         return issuers[0]
 
     def __repr__(self) -> str:
-        return f"Credential({self.rule.head}, issuers={self.issuers}, serial={self.serial[:12]})"
+        # Render the signer terms, not ``issuers``: a repr must not raise
+        # for a rule whose signers are not ground principal names.
+        signers = ", ".join(str(term) for term in self.rule.signers)
+        return (f"Credential({self.rule.head}, signers=[{signers}], "
+                f"serial={self.serial[:12]})")
 
 
 def vouched_statement(rule: Rule) -> Optional[Rule]:

@@ -21,7 +21,8 @@ nested counter-query, disclosure, and release check it triggers.  It owns:
 
 In a real deployment each peer would track only its own view; this
 in-process object is the union of those views, which is exactly what the
-experiments need to observe.
+experiments need to observe.  All of it lives in RAM: a peer's state store
+holds only its wallet, so a restarted peer continues a live session cold.
 """
 
 from __future__ import annotations
@@ -179,10 +180,6 @@ class Session:
         # every outstanding delta reference for free.
         self._wire_ledger: dict[tuple[str, str], set[str]] = {}
         self._sequence = itertools.count(1)
-        # Optional write-through persistence hooks (a
-        # repro.storage.recovery.SessionPersistence), installed by the
-        # SessionTable when any peer on the transport has a state store.
-        self.persistence = None
 
     # -- transcript --------------------------------------------------------------
 
@@ -319,8 +316,6 @@ class Session:
         store = self._received.get(peer_name)
         if store is None:
             store = self._received[peer_name] = CredentialStore()
-            if self.persistence is not None:
-                self.persistence.overlay_created(self, peer_name, store)
         return store
 
     def credentials_disclosed_to(self, peer_name: str) -> int:
@@ -345,8 +340,6 @@ class Session:
         """Record that ``sender`` shipped the full credential payload to
         ``receiver``; later repeats on the same link may go as references."""
         self._wire_ledger.setdefault((sender, receiver), set()).add(serial)
-        if self.persistence is not None:
-            self.persistence.ledger_noted(self, sender, receiver, serial)
 
     def wire_disclosed(self, sender: str, receiver: str, serial: str) -> bool:
         return serial in self._wire_ledger.get((sender, receiver), ())
@@ -374,8 +367,8 @@ class SessionTable:
     ``on_evict`` is invoked with the session id whenever a session leaves
     the table, by eviction *or* :meth:`forget`, so owners of per-session
     caches (the transport's reply / oneway dedup caches, a scheduler's
-    continuation tables, per-peer state stores) can drop their entries and
-    long-running workloads stay bounded."""
+    continuation tables) can drop their entries and long-running workloads
+    stay bounded."""
 
     def __init__(self, capacity: Optional[int] = None,
                  on_evict: Optional[Callable[[str], None]] = None) -> None:
@@ -383,10 +376,6 @@ class SessionTable:
         self.capacity = capacity
         self.on_evict = on_evict
         self.evictions = 0
-        # Optional repro.storage.recovery.SessionPersistence, installed by
-        # the transport when any peer attaches a state store; handed to each
-        # new session so state-bearing events write through as they happen.
-        self.persistence = None
 
     def get_or_create(self, session_id: str, initiator: str,
                       max_nesting: int = 30) -> Session:
@@ -394,9 +383,6 @@ class SessionTable:
         if session is None:
             session = self._sessions[session_id] = Session(
                 session_id, initiator, max_nesting)
-            if self.persistence is not None:
-                session.persistence = self.persistence
-                self.persistence.session_created(session)
             if self.capacity is not None:
                 while len(self._sessions) > self.capacity:
                     oldest = next(iter(self._sessions))

@@ -195,10 +195,8 @@ class Transport:
         # session_id -> idempotency key -> cached reply / delivered marker.
         self._reply_cache: dict[str, dict[tuple, Message]] = {}
         self._delivered_oneway: dict[str, set[tuple]] = {}
-        # peer name -> repro.storage.StateStore; empty (the default) keeps
-        # every persistence hook on a zero-cost path.
+        # peer name -> repro.storage.StateStore holding that peer's wallet.
         self.state_stores: dict[str, object] = {}
-        self._persistence = None  # lazily built SessionPersistence
         # Lazily attached repro.runtime.EventScheduler (one per transport).
         self.scheduler = None
         # Shared negotiation-session table (import here to keep net/ free of
@@ -224,34 +222,24 @@ class Transport:
 
     def attach_state_store(self, peer_name: str, store) -> None:
         """Attach a :class:`repro.storage.StateStore` under ``peer_name``:
-        from now on that peer's wallet, session overlays, disclosure
-        ledgers, and cached replies write through to the store, and
-        :func:`repro.storage.recovery.recover_peer` can rebuild the peer
-        from it after a crash.  Current state is snapshotted on attach."""
-        from repro.storage.recovery import SessionPersistence, bind_peer
+        from now on that peer's wallet writes through to the store, and
+        :func:`repro.storage.recovery.recover_peer` can restore it after a
+        crash.  The current wallet is snapshotted on attach.  Session state
+        (overlays, disclosure ledgers, cached replies) stays in RAM."""
+        from repro.storage.recovery import bind_peer
 
         self.state_stores[peer_name] = store
-        if self._persistence is None:
-            self._persistence = SessionPersistence(self)
-            self.sessions.persistence = self._persistence
-            for session in self.sessions.sessions():
-                session.persistence = self._persistence
         bind_peer(self, peer_name, store)
 
     def detach_state_stores(self) -> list:
-        """Checkpoint and close every attached store; returns them.  The
-        persistence hooks go quiescent (``state_stores`` empties) so the
-        transport is back on the zero-overhead path."""
+        """Checkpoint and close every attached store; returns them.  Wallet
+        sinks are unbound first, so later wallet changes stay in RAM."""
         stores = list(self.state_stores.values())
         for peer_name, store in list(self.state_stores.items()):
             if self.registry.knows(peer_name):
                 self.registry.get(peer_name).credentials.unbind_sink()
             store.close()
         self.state_stores.clear()
-        self._persistence = None
-        self.sessions.persistence = None
-        for session in self.sessions.sessions():
-            session.persistence = None
         return stores
 
     # -- fault-aware single transmission ----------------------------------------------
@@ -325,18 +313,6 @@ class Transport:
                 f"{message.receiver!r} was dropped"))
         return TransmissionOutcome(decision, delay, None)
 
-    # -- reply cache ------------------------------------------------------------------
-
-    def _cache_reply(self, message: Message, reply: Message) -> None:
-        """Record ``reply`` under the request's idempotency key — the single
-        write point for the reply cache, so a bound state store sees every
-        entry and replayed requests after a receiver restart still dedup
-        against the recovered cache."""
-        self._reply_cache.setdefault(message.session_id, {})[
-            message.dedup_key] = reply
-        if self._persistence is not None:
-            self._persistence.reply_cached(message, reply)
-
     # -- synchronous conveniences -----------------------------------------------------
 
     def send(self, message: Message) -> None:
@@ -365,8 +341,6 @@ class Transport:
         self._delivered_oneway.pop(session_id, None)
         if self.scheduler is not None:
             self.scheduler.purge_session(session_id)
-        if self._persistence is not None:
-            self._persistence.session_evicted(session_id)
 
     def release_session(self, session_id: str) -> None:
         """Negotiation finished: evict the session's reply cache and the

@@ -14,7 +14,7 @@ negotiation engine installs :func:`binder` as the SLD engine's
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from repro.datalog.ast import Literal, Rule
@@ -35,7 +35,10 @@ def _binding(requester: str, self_name: str) -> Substitution:
 
 
 def bind_pseudovars(rule: Rule, requester: str, self_name: str) -> Rule:
-    """``rule`` with Requester/Self replaced by the given peer names."""
+    """``rule`` with Requester/Self replaced by the given peer names; the
+    rule itself when it mentions neither."""
+    if not mentions_pseudovars(rule):
+        return rule
     return rule.apply(_binding(requester, self_name))
 
 
@@ -52,12 +55,7 @@ def bind_pseudovars_in_goals(
 
 def binder(requester: str, self_name: str) -> Callable[[Rule], Rule]:
     """A rule transform suitable for ``SLDEngine(rule_transform=...)``."""
-    binding = _binding(requester, self_name)
-
-    def transform(rule: Rule) -> Rule:
-        return rule.apply(binding) if mentions_pseudovars(rule) else rule
-
-    return transform
+    return partial(bind_pseudovars, requester=requester, self_name=self_name)
 
 
 def mentions_pseudovars(rule: Rule) -> bool:

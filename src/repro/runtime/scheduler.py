@@ -401,7 +401,8 @@ class Exchange:
                     f"peer {self.message.receiver!r} returned no reply to "
                     f"{self.message.kind}"))
                 return
-            self.transport._cache_reply(self.message, reply)
+            self.transport._reply_cache.setdefault(
+                self.message.session_id, {})[self.message.dedup_key] = reply
         self._delivered(reply, decision)
 
     def _handler_failed(self, error: BaseException) -> None:

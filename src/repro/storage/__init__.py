@@ -1,5 +1,9 @@
 """Pluggable peer state persistence.
 
+A peer's store holds what outlives a negotiation: its credential wallet.
+Session state (disclosure overlays, wire ledgers, cached replies) lives in
+RAM only and dies with the process.
+
 Public surface:
 
 - :func:`~repro.storage.store.open_store` /
@@ -7,8 +11,7 @@ Public surface:
   :class:`~repro.storage.store.DurableStore` — the backends;
 - :func:`~repro.storage.atomic.atomic_write_text` — the shared
   write-temp-then-replace helper every on-disk artifact goes through;
-- :mod:`repro.storage.recovery` — crash/restart with warm sessions;
-- :mod:`repro.storage.codec` — plain-data round-trips for domain objects
+- :mod:`repro.storage.recovery` — wallet write-through and crash/restart
   (imported lazily by low-level modules; it depends on the peer layer).
 """
 
@@ -17,7 +20,6 @@ from repro.storage.store import (
     DurableStore,
     MemoryStore,
     StateStore,
-    iter_namespace,
     next_txn_id,
     open_store,
     reset_txn_ids,
@@ -29,7 +31,6 @@ __all__ = [
     "DurableStore",
     "MemoryStore",
     "StateStore",
-    "iter_namespace",
     "next_txn_id",
     "open_store",
     "reset_txn_ids",

@@ -1,10 +1,11 @@
 """Pluggable peer state stores.
 
 A :class:`StateStore` is a namespaced key/value store holding **plain
-JSON-able data** (dicts, lists, strings, numbers, bools, None).  Domain
-objects — credentials, messages, proofs — cross the boundary through
-:mod:`repro.storage.codec`, so a store never imports negotiation code and
-every backend serialises identically.
+JSON-able data** (dicts, lists, strings, numbers, bools, None).  A peer's
+store holds its credential wallet; credentials cross the boundary through
+:func:`repro.serialize.credential_to_dict` (see
+:mod:`repro.storage.recovery`), so a store never imports negotiation code
+and every backend serialises identically.
 
 Two backends:
 
@@ -33,7 +34,7 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.errors import StorageError
 from repro.storage.atomic import atomic_write_text
@@ -87,7 +88,7 @@ class StateStore:
         return True
 
     def drop(self, namespace: str) -> bool:
-        """Remove a whole namespace (e.g. a finished session's state)."""
+        """Remove a whole namespace."""
         self._ensure_open()
         if self._data.pop(namespace, None) is None:
             return False
@@ -197,6 +198,9 @@ class DurableStore(StateStore):
                     f"corrupt snapshot {self._snapshot_path}: {error}")
             self.recovered["from_snapshot"] = True
         if not self._journal_path.exists():
+            # An open store always has its journal, even before its first
+            # record, so its size can be read at any time.
+            self._journal_path.touch()
             return
         data = self._journal_path.read_bytes()
         lines = data.split(b"\n")
@@ -302,11 +306,3 @@ def open_store(backend: str, state_dir: Optional[str | Path] = None,
         return DurableStore(Path(state_dir) / name)
     raise StorageError(f"unknown store backend {backend!r} "
                        "(expected 'memory' or 'durable')")
-
-
-def iter_namespace(store: StateStore, prefix: str) -> Iterator[str]:
-    """Namespaces of ``store`` starting with ``prefix`` (e.g. every
-    ``overlay:`` namespace during recovery)."""
-    for namespace in store.namespaces():
-        if namespace.startswith(prefix):
-            yield namespace

@@ -204,7 +204,7 @@ class TestCrashRestart:
 class TestCrashRecoveryWindows:
     """Crash windows are *survivable* when the peer has a state store: the
     fleet converges to the same outcomes as a fault-free run, and restarted
-    peers come back with their disclosure ledgers warm."""
+    peers come back with their wallets and continue live sessions cold."""
 
     STAGGER_MS = 5.0
     # Client1's negotiation spans [5.0, ~9.5) simulated ms at this stagger;
@@ -270,17 +270,18 @@ class TestCrashRecoveryWindows:
                 goal=goal)))
         return replies, session
 
-    def test_restarted_peer_reuses_warm_disclosure_deltas(self, attach_stores):
+    def test_restarted_peer_reships_disclosures_warm_or_cold(
+            self, attach_stores):
         warm_replies, warm_session = self._delta_rounds(
             warm=True, attach=attach_stores)
         cold_replies, _ = self._delta_rounds(warm=False)
-        # Warm: the restored wire ledger lets the repeat answer travel as a
-        # hash reference.  Cold: the restarted peer must re-ship the full
-        # payload.
-        assert warm_replies[1].items[0].answer_credential_ref is not None
-        assert cold_replies[1].items[0].answer_credential_ref is None
-        assert warm_replies[1].wire_size() < cold_replies[1].wire_size()
-        assert warm_session.counters["delta_refs_sent"] >= 1
+        # The wire ledger lives in RAM only, so a store does not change the
+        # repeat answer: either way the restarted peer re-ships the full
+        # payload instead of a hash reference.
+        for replies in (warm_replies, cold_replies):
+            assert replies[1].items[0].answer_credential_ref is None
+        assert warm_replies[1].wire_size() == cold_replies[1].wire_size()
+        assert warm_session.counters["delta_refs_sent"] == 0
 
 
 class TestRecoveryLoopState:

@@ -87,6 +87,16 @@ class TestIssue:
         with pytest.raises(CredentialError):
             rule_signer_names(rule)
 
+    def test_repr_renders_non_ground_signers(self, delegation):
+        # A received credential is untrusted until verified, so its repr
+        # (in a log line, a failing assertion) must not raise.
+        credential = Credential(parse_rule('p("a") signedBy [X].'), (),
+                                "serial")
+        assert repr(credential) == (
+            'Credential(p("a"), signers=[X], serial=serial)')
+        assert repr(delegation).startswith(
+            'Credential(student(X) @ "UIUC", signers=["UIUC"], serial=')
+
 
 class TestVerify:
     def test_rule_swap_detected(self, student_id, ring):

@@ -38,6 +38,11 @@ class TestPseudovars:
         rule = parse_rule("a(Requester) <- b(Self).")
         assert str(transform(rule).head) == 'a("Bob")'
 
+    def test_rule_without_pseudovars_is_returned_as_is(self):
+        rule = parse_rule("a(X) <- b(X).")
+        assert bind_pseudovars(rule, "Bob", "Server") is rule
+        assert binder("Bob", "Server")(rule) is rule
+
     def test_mentions(self):
         assert mentions_pseudovars(parse_rule("a(Requester) <- b(X)."))
         assert mentions_pseudovars(parse_rule("a(X) <- b(Self)."))

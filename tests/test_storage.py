@@ -1,9 +1,12 @@
-"""Storage subsystem: backends, codecs, the session table, crash recovery.
+"""Storage subsystem: backends, the credential codec, the session table,
+crash recovery.
 
 Covers the state-store contract both backends must satisfy, the durable
-backend's journal/snapshot recovery semantics (including torn trailing
-lines), the plain-data codecs, the session table, and the full
-crash → restart-from-store path with warm session re-attachment."""
+backend's journal/snapshot recovery semantics (torn trailing lines and a
+crash at every byte of a wallet journal), the credential codec, the
+session table, and the crash → restart-from-store path: a store holds only
+the wallet, so a restarted peer comes back with its credentials and
+continues any live session cold."""
 
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ import json
 import pytest
 
 from repro import World, negotiate, parse_literal
+from repro.datalog.parser import parse_rule
 from repro.errors import StorageError
 from repro.negotiation.session import SessionTable
 from repro.net.message import QueryMessage
@@ -19,7 +23,6 @@ from repro.storage import (
     DurableStore,
     MemoryStore,
     atomic_write_text,
-    iter_namespace,
     open_store,
 )
 from repro.storage.recovery import (
@@ -27,7 +30,6 @@ from repro.storage.recovery import (
     crash_peer,
     recover_peer,
     restart_peer,
-    stale_session_namespaces,
 )
 
 KEY_BITS = 512
@@ -113,13 +115,6 @@ class TestStoreContract:
             # Reads still work (recovery inspects closed stores).
             assert store.get("ns", "k") == 1
 
-    def test_iter_namespace_prefix(self, tmp_path):
-        store = MemoryStore()
-        for namespace in ("overlay:s1", "overlay:s2", "wallet"):
-            store.put(namespace, "k", 1)
-        assert sorted(iter_namespace(store, "overlay:")) == [
-            "overlay:s1", "overlay:s2"]
-
 
 class TestOpenStore:
     def test_backend_selection(self, tmp_path):
@@ -153,6 +148,17 @@ class TestDurableRecovery:
         assert reopened.items("wallet") == {"s1": {"x": 1}}
         assert reopened.recovered["journal_records"] == 3
         assert not reopened.recovered["from_snapshot"]
+        reopened.close()
+        store.close()
+
+    def test_open_store_always_has_its_journal(self, tmp_path):
+        # A store may never append (a peer with an empty wallet), yet its
+        # journal's size must be readable from the moment it opens.
+        store = DurableStore(tmp_path / "peer")
+        assert (tmp_path / "peer" / "journal.jsonl").read_bytes() == b""
+        store.put("wallet", "s1", {"x": 1})
+        reopened = DurableStore(tmp_path / "peer")
+        assert reopened.items("wallet") == {"s1": {"x": 1}}
         reopened.close()
         store.close()
 
@@ -322,63 +328,14 @@ class TestAtomicWrites:
 
 
 class TestCodec:
-    def _credential(self, world):
-        return world.credential('friend("Client") signedBy ["CA"].')
-
     def test_credential_roundtrip(self):
-        from repro.storage.codec import credential_from_dict, credential_to_dict
+        from repro.serialize import credential_from_dict, credential_to_dict
 
         world, _ = _quickstart()
-        credential = self._credential(world)
+        credential = world.credential('friend("Client") signedBy ["CA"].')
         restored = credential_from_dict(credential_to_dict(credential))
         assert restored.serial == credential.serial
         assert str(restored.rule) == str(credential.rule)
-
-    def test_answer_message_roundtrip(self):
-        from repro.net.message import AnswerItem, AnswerMessage, CredentialRef
-        from repro.storage.codec import message_from_dict, message_to_dict
-
-        world, _ = _quickstart()
-        credential = self._credential(world)
-        message = AnswerMessage(
-            sender="Server", receiver="Client", session_id="s1",
-            query_id=7,
-            items=(AnswerItem(
-                bindings={"X": parse_literal('p("Client")').args[0]},
-                credentials=(credential,),
-                answered_literal=parse_literal('friend("Client")'),
-                credential_refs=(CredentialRef(serial="abc", digest="def"),),
-            ),))
-        restored = message_from_dict(message_to_dict(message))
-        assert restored.kind == "AnswerMessage"
-        assert restored.query_id == 7
-        assert restored.message_id == message.message_id
-        item = restored.items[0]
-        assert str(item.bindings["X"]) == '"Client"'
-        assert item.credentials[0].serial == credential.serial
-        assert str(item.answered_literal) == 'friend("Client")'
-        assert item.credential_refs[0].serial == "abc"
-
-    def test_policy_message_roundtrip(self):
-        from repro.datalog.parser import parse_rule
-        from repro.net.message import PolicyMessage
-        from repro.storage.codec import message_from_dict, message_to_dict
-
-        message = PolicyMessage(
-            sender="A", receiver="B", session_id="s1",
-            policy_name="release", granted=True,
-            rules=(parse_rule("ok(X) <- p(X)."),))
-        restored = message_from_dict(message_to_dict(message))
-        assert restored.granted
-        assert str(restored.rules[0]) == str(message.rules[0])
-
-    def test_unsupported_message_kind_raises(self):
-        from repro.storage.codec import message_to_dict
-
-        query = QueryMessage(sender="A", receiver="B", session_id="s1",
-                             goal=parse_literal("p(1)"))
-        with pytest.raises(StorageError):
-            message_to_dict(query)
 
 
 # ---------------------------------------------------------------------------
@@ -451,68 +408,60 @@ class TestCrashRecovery:
         result = negotiate(client, "Server", parse_literal('hello("Client")'))
         assert result.granted
 
-    def test_recovery_reattaches_live_sessions(self, attach_stores):
-        world, _ = _quickstart()
-        stores = attach_stores(world)
-        # A mid-flight session: the Server's overlay holds one disclosure.
-        transport = world.transport
-        session = transport.sessions.get_or_create("inflight", "Client")
-        credential = world.credential('friend("Client") signedBy ["CA"].')
-        session.received_for("Server").add(credential)
-        report = restart_peer(transport, "Server")
-        assert report.sessions_reattached == 1
-        assert report.overlays == 1
-        restored = session.received_for("Server")
-        assert restored.get(credential.serial) is not None
-        assert session.holds(credential.serial, "Server")
-        assert stores["Server"].get("sessions", session.id) is not None
-
-    def test_recovery_aborts_sessions_only_the_store_remembers(
-            self, attach_stores):
+    def test_recovery_restores_only_the_wallet(self, attach_stores):
         world, client = _quickstart()
         stores = attach_stores(world)
-        store = stores["Server"]
-        store.put("sessions", "ghost", {"initiator": "Client",
-                                        "max_nesting": 30})
-        store.put("overlay:ghost", "serial", {"fake": True})
-        report = restart_peer(world.transport, "Server")
-        assert report.sessions_aborted == 1
-        assert store.get("sessions", "ghost") is None
-        assert "overlay:ghost" not in store.namespaces()
+        # A mid-flight session: the Client's overlay holds one disclosure.
+        transport = world.transport
+        session = transport.sessions.get_or_create("inflight", "Server")
+        received = world.credential('member("Client") signedBy ["CA"].')
+        client.hold_received(received, session)
+        report = restart_peer(transport, "Client")
+        assert report == RecoveryReport(peer="Client", warm=True,
+                                        credentials=1)
+        assert [c.rule for c in client.credentials.credentials()] == [
+            parse_rule('friend("Client") signedBy ["CA"].')]
+        # The overlay lived in RAM only: the live session continues cold.
+        assert len(session.received_for("Client")) == 0
+        assert not session.holds(received.serial, "Client")
+        assert stores["Client"].namespaces() == ["wallet"]
 
-    def test_reply_cache_dedupes_replay_after_restart(self, attach_stores):
+    def test_replay_after_restart_is_answered_again(self, attach_stores):
         world, client = _quickstart()
         attach_stores(world)
         transport = world.transport
-        session = transport.sessions.get_or_create("replay", "Client")
-        query = QueryMessage(sender="Client", receiver="Server",
+        session = transport.sessions.get_or_create("replay", "Server")
+        query = QueryMessage(sender="Server", receiver="Client",
                              session_id=session.id,
                              goal=parse_literal('friend(X) @ "CA"'))
         first = transport.request(query)
+        assert len(first.items) == 1
         suppressed_before = transport.stats.duplicates_suppressed
-        restart_peer(transport, "Server")
+        restart_peer(transport, "Client")
         replayed = transport.request(query)
-        assert transport.stats.duplicates_suppressed == suppressed_before + 1
-        assert replayed.message_id == first.message_id
-
-    def test_ledger_survives_restart_on_both_sides(self, attach_stores):
-        world, _ = _quickstart()
-        attach_stores(world)
-        transport = world.transport
-        session = transport.sessions.get_or_create("ledger", "Client")
-        session.note_wire_disclosure("Client", "Server", "serial-1")
-        for peer_name in ("Client", "Server"):
-            restart_peer(transport, peer_name)
-        assert session.wire_disclosed("Client", "Server", "serial-1")
+        # The reply cache lived in RAM only: the restarted Client evaluates
+        # the replay again, from its restored wallet, to the same answer.
+        assert transport.stats.duplicates_suppressed == suppressed_before
+        assert replayed.message_id != first.message_id
+        assert [item.bindings for item in replayed.items] == [
+            item.bindings for item in first.items]
+        assert [item.answer_credential.serial for item in replayed.items] == [
+            item.answer_credential.serial for item in first.items]
 
     def test_session_release_leaves_no_stale_namespaces(self, attach_stores):
-        world, client = _quickstart()
-        stores = attach_stores(world)
-        result = negotiate(client, "Server", parse_literal('hello("Client")'))
-        assert result.granted
-        for store in stores.values():
-            assert stale_session_namespaces(store) == []
-            assert store.items("sessions") == {}
+        for backend in ("memory", "durable"):
+            world, client = _quickstart()
+            stores = attach_stores(world, backend=backend)
+            result = negotiate(client, "Server",
+                               parse_literal('hello("Client")'))
+            assert result.granted
+            assert stores["Client"].namespaces() == ["wallet"]
+            for store in stores.values():
+                assert set(store.namespaces()) <= {"wallet"}
+                if backend == "durable":
+                    journal = store.directory / DurableStore.JOURNAL
+                    assert {json.loads(line)["ns"] for line
+                            in journal.read_text().splitlines()} <= {"wallet"}
 
     def test_recovery_metrics_and_span(self, attach_stores):
         from repro.obs.metrics import global_registry
@@ -531,3 +480,98 @@ class TestCrashRecovery:
             warm_before + 1
         names = [r.get("name") for r in tracer.all_records()]
         assert "peer.recover" in names
+
+
+class TestWalletCrashPoints:
+    """A store holds only the wallet, so its journal is the whole crash
+    surface: a process dying at any byte of an append, or between a
+    checkpoint's two writes, must reopen to a wallet the peer once had."""
+
+    STATEMENTS = ('badge("1") signedBy ["CA"].', 'badge("2") signedBy ["CA"].',
+                  'badge("3") signedBy ["CA"].')
+
+    def _wallet_journal(self, tmp_path):
+        """Three credentials added and one removed through the wallet's
+        write-through sink: four journal records, and the wallet state
+        after each of them (``states[n]`` = after the first ``n``)."""
+        world = World(key_bits=KEY_BITS)
+        client = world.add_peer("Client")
+        world.issuer("CA")
+        world.distribute_keys()
+        store = DurableStore(tmp_path / "source")
+        world.transport.attach_state_store("Client", store)
+        states = [{}]
+        issued = []
+        for statement in self.STATEMENTS:
+            issued += world.give_credentials("Client", statement)
+            states.append(store.items("wallet"))
+        assert client.credentials.remove(issued[1].serial)
+        states.append(store.items("wallet"))
+        journal = (store.directory / DurableStore.JOURNAL).read_bytes()
+        world.detach_state_stores()
+        assert journal.count(b"\n") == len(states) - 1 == 4
+        return world, journal, states
+
+    def _assert_recovers_into_crashed_peer(self, world, store, wallet):
+        transport = world.transport
+        crash_peer(transport, "Client")
+        transport.attach_state_store("Client", store)
+        report = recover_peer(transport, "Client")
+        assert report.credentials == len(wallet)
+        assert world.peers["Client"].credentials.serials() == set(wallet)
+        world.detach_state_stores()
+
+    def test_every_journal_cut_reopens_to_a_prefix_of_the_wallet(
+            self, tmp_path):
+        world, journal, states = self._wallet_journal(tmp_path)
+        cut_dir = tmp_path / "cut"
+        for offset in range(len(journal) + 1):
+            cut_dir.mkdir()
+            (cut_dir / DurableStore.JOURNAL).write_bytes(journal[:offset])
+            store = DurableStore(cut_dir)
+            # A record counts once its newline is on disk: a whole record
+            # cut just before its newline is torn like any partial one.
+            complete = journal[:offset].count(b"\n")
+            torn = offset > 0 and journal[offset - 1:offset] != b"\n"
+            assert store.items("wallet") == states[complete], offset
+            assert store.recovered["torn_lines"] == int(torn), offset
+            assert store.recovered["journal_records"] == complete, offset
+            store.destroy()
+        # A cut inside the last record: recovery restores the wallet as it
+        # stood before the removal.
+        cut_dir.mkdir()
+        (cut_dir / DurableStore.JOURNAL).write_bytes(journal[:-2])
+        self._assert_recovers_into_crashed_peer(world, DurableStore(cut_dir),
+                                                states[3])
+
+    def test_crash_between_snapshot_replace_and_journal_truncate(
+            self, tmp_path, monkeypatch):
+        from repro.storage import store as store_module
+
+        world, journal, states = self._wallet_journal(tmp_path)
+        directory = tmp_path / "checkpointing"
+        directory.mkdir()
+        (directory / DurableStore.JOURNAL).write_bytes(journal)
+        store = DurableStore(directory)
+        writes = []
+        real_write = store_module.atomic_write_text
+
+        def write_then_die(path, text):
+            if writes:  # the journal truncate, after the snapshot replace
+                raise OSError("crashed before the journal truncate")
+            writes.append(path)
+            real_write(path, text)
+
+        monkeypatch.setattr(store_module, "atomic_write_text", write_then_die)
+        with pytest.raises(OSError, match="journal truncate"):
+            store.checkpoint()
+        monkeypatch.undo()
+        assert writes == [directory / DurableStore.SNAPSHOT]
+        assert (directory / DurableStore.JOURNAL).read_bytes() == journal
+        # The journal replays over a snapshot that already holds it.
+        reopened = DurableStore(directory)
+        assert reopened.recovered["from_snapshot"]
+        assert reopened.recovered["journal_records"] == 4
+        assert reopened.items("wallet") == states[-1]
+        self._assert_recovers_into_crashed_peer(world, reopened, states[-1])
+        store.destroy()

@@ -63,7 +63,7 @@ class Credential:
     # Holder-side only - not covered by the signature or the serial.
     sticky_guard: Optional[tuple] = None
     # Derived from the immutable rule, excluded from eq/hash/repr like
-    # Literal._ground: the statement the signature vouches for (set on
+    # Literal._variables: the statement the signature vouches for (set on
     # construction) and the wire size (set by repro.net.message).
     statement: Optional[Rule] = field(
         default=None, init=False, repr=False, compare=False)

@@ -50,10 +50,10 @@ class Literal:
     args: tuple[Term, ...] = ()
     authority: tuple[Term, ...] = ()
     negated: bool = False
-    # Lazily-computed groundness, excluded from eq/hash/repr.  Ground
+    # Lazily-computed variable set, excluded from eq/hash/repr.  Ground
     # literals are fixpoints of apply/rename, and resolution applies the
-    # same goals over and over — caching the flag turns those into no-ops.
-    _ground: Optional[bool] = field(
+    # same goals over and over — caching the set turns those into no-ops.
+    _variables: Optional[frozenset[Variable]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -96,13 +96,17 @@ class Literal:
 
     # -- variables / substitution --------------------------------------------
 
-    def variables(self) -> set[Variable]:
-        result: set[Variable] = set()
-        for term in self.args:
-            result |= variables_in(term)
-        for term in self.authority:
-            result |= variables_in(term)
-        return result
+    def variables(self) -> frozenset[Variable]:
+        variables = self._variables
+        if variables is None:
+            found: set[Variable] = set()
+            for term in self.args:
+                found |= variables_in(term)
+            for term in self.authority:
+                found |= variables_in(term)
+            variables = frozenset(found)
+            object.__setattr__(self, "_variables", variables)
+        return variables
 
     def apply(self, subst: Substitution) -> "Literal":
         if self.is_ground():
@@ -125,11 +129,10 @@ class Literal:
         )
 
     def is_ground(self) -> bool:
-        ground = self._ground
-        if ground is None:
-            ground = not self.variables()
-            object.__setattr__(self, "_ground", ground)
-        return ground
+        variables = self._variables
+        if variables is None:
+            variables = self.variables()
+        return not variables
 
     # -- rendering -----------------------------------------------------------
 
@@ -160,7 +163,7 @@ class Rule:
     rule_context: Optional[Goals] = None
     signers: tuple[Term, ...] = field(default=())
     # Lazily-computed variable set, excluded from eq/hash/repr like
-    # Literal._ground: ground rules (facts, shipped credentials) need no
+    # Literal._variables: ground rules (facts, shipped credentials) need no
     # renaming, and rules without Requester/Self no rebinding.
     _variables: Optional[frozenset[Variable]] = field(
         default=None, init=False, repr=False, compare=False)
@@ -203,7 +206,7 @@ class Rule:
     def variables(self) -> frozenset[Variable]:
         variables = self._variables
         if variables is None:
-            found = self.head.variables()
+            found = set(self.head.variables())
             for lit in self.body:
                 found |= lit.variables()
             for goals in (self.guard or (), self.rule_context or ()):
@@ -251,7 +254,10 @@ class Rule:
         return Rule(self.head, self.body, None, None, self.signers)
 
     def is_ground(self) -> bool:
-        return not self.variables()
+        variables = self._variables
+        if variables is None:
+            variables = self.variables()
+        return not variables
 
     # -- rendering -------------------------------------------------------------
 

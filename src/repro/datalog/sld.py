@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.datalog.ast import Literal, Rule
@@ -50,12 +51,14 @@ _ENGINE_OPS = global_registry().counter(
     labels=("op",))
 
 
-def _stats_marks(stats: "SLDStats") -> tuple:
-    return tuple(getattr(stats, name) for name in _ENGINE_FIELDS)
+_stats_marks = attrgetter(*_ENGINE_FIELDS)
 
 
 def _fold_stats(stats: "SLDStats", before: tuple) -> None:
-    for name, prev, now in zip(_ENGINE_FIELDS, before, _stats_marks(stats)):
+    after = _stats_marks(stats)
+    if after == before:
+        return
+    for name, prev, now in zip(_ENGINE_FIELDS, before, after):
         if now != prev:
             _ENGINE_OPS.labels(name).inc(now - prev)
 
@@ -220,6 +223,16 @@ def clear_canonical_cache() -> None:
     _canonical_literal_cached.cache_clear()
 
 
+def answered_goal(goal: Literal, proof: ProofNode,
+                  subst: Substitution) -> Literal:
+    """``goal`` instantiated by the solution ``subst`` whose proof of it is
+    ``proof``.  Substitutions only grow along a derivation, so a ground
+    proof goal already equals ``goal.apply(subst)``; an open one (a later
+    goal of the conjunction bound its variables) is applied."""
+    answered = proof.goal
+    return answered if answered.is_ground() else goal.apply(subst)
+
+
 def unify_literals(goal: Literal, head: Literal,
                    subst: Substitution) -> Optional[Substitution]:
     """Unify a goal with a clause head: predicate, arity, arguments, and
@@ -366,7 +379,8 @@ class SLDEngine:
                         "suspending evaluations through iter_query() instead")
                 result_subst, proofs = item
                 key = tuple(
-                    canonical_literal(goal.apply(result_subst)) for goal in goal_list
+                    canonical_literal(answered_goal(goal, proof, result_subst))
+                    for goal, proof in zip(goal_list, proofs)
                 )
                 if key not in answers:
                     answers[key] = Solution(result_subst, proofs)
@@ -423,7 +437,8 @@ class SLDEngine:
                     continue
                 result_subst, proofs = item
                 key = tuple(
-                    canonical_literal(goal.apply(result_subst)) for goal in goal_list
+                    canonical_literal(answered_goal(goal, proof, result_subst))
+                    for goal, proof in zip(goal_list, proofs)
                 )
                 if key in seen:
                     continue
@@ -589,12 +604,17 @@ class SLDEngine:
             return
 
         self._active.add(key)
+        chain = len(goal.authority)
         try:
             if self.tabled:
                 table = self._tables.setdefault(key, {})
             else:
                 table = None
             for rule in list(self.kb.rules_for(resolved_goal)):
+                # A head with a different authority chain length can never
+                # unify: skip it before transforming and renaming it.
+                if len(rule.head.authority) != chain:
+                    continue
                 self.stats.resolutions += 1
                 if self.rule_transform is not None:
                     rule = self.rule_transform(rule)

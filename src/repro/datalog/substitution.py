@@ -71,8 +71,13 @@ class Substitution:
         """Follow variable bindings until reaching a non-variable or an
         unbound variable.  Does not descend into compound arguments."""
         while isinstance(term, Variable):
-            bound = self.lookup(term)
-            if bound is None:
+            node: Optional[Substitution] = self
+            while node is not None:
+                bound = node._bindings.get(term)
+                if bound is not None:
+                    break
+                node = node._parent
+            else:
                 return term
             term = bound
         return term
@@ -80,7 +85,8 @@ class Substitution:
     def resolve(self, term: Term) -> Term:
         """Fully apply this substitution to ``term``, producing a term in
         which every bound variable has been replaced transitively."""
-        term = self.walk(term)
+        if isinstance(term, Variable):
+            term = self.walk(term)
         if isinstance(term, Compound):
             resolved = tuple(self.resolve(a) for a in term.args)
             if all(a is b for a, b in zip(resolved, term.args)):

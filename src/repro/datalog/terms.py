@@ -136,7 +136,9 @@ class Variable(Term):
         return isinstance(other, Variable) and other.name == self.name
 
     def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
+        if self is other:
+            return False
+        return not (isinstance(other, Variable) and other.name == self.name)
 
     def __hash__(self) -> int:
         return self._hash
@@ -198,7 +200,11 @@ class Constant(Term):
                 and other.quoted == self.quoted)
 
     def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
+        if self is other:
+            return False
+        return not (isinstance(other, Constant)
+                    and other.value == self.value
+                    and other.quoted == self.quoted)
 
     def __hash__(self) -> int:
         return self._hash
@@ -324,6 +330,10 @@ def subterms(term: Term) -> Iterator[Term]:
 
 def variables_in(term: Term) -> set[Variable]:
     """The set of variables occurring anywhere in ``term``."""
+    if isinstance(term, Variable):
+        return {term}
+    if isinstance(term, Constant):
+        return set()
     return {t for t in subterms(term) if isinstance(t, Variable)}
 
 

@@ -49,14 +49,16 @@ def unify(
         b = subst.walk(b)
         if a is b:
             continue
+        # Both sides are walked, so a variable can occur only inside a
+        # compound: against a leaf the occurs check is always false.
         if isinstance(a, Variable):
             if isinstance(b, Variable) and a == b:
                 continue
-            if occurs_check and occurs(a, b, subst):
+            if occurs_check and isinstance(b, Compound) and occurs(a, b, subst):
                 return None
             subst = subst.bind(a, b)
         elif isinstance(b, Variable):
-            if occurs_check and occurs(b, a, subst):
+            if occurs_check and isinstance(a, Compound) and occurs(b, a, subst):
                 return None
             subst = subst.bind(b, a)
         elif isinstance(a, Constant) and isinstance(b, Constant):

@@ -723,12 +723,35 @@ class EvalContext(SLDEngine):
         if answer_subst is None:
             self.session.counters["mismatched_answers"] += 1
             return
+        instance = goal.apply(answer_subst)
 
         if not self.peer.require_certified_answers:
-            yield answer_subst, ProofNode(goal.apply(answer_subst), "asserted",
-                                          peer=target)
+            yield answer_subst, ProofNode(instance, "asserted", peer=target)
             return
 
+        proof = self._certify(instance, target, overlay)
+        if proof is None:
+            self.session.counters["uncertified_answers"] += 1
+            self.session.log("uncertified", self.peer.name, target,
+                             str(instance))
+            return
+        yield answer_subst, ProofNode(instance, "remote", peer=target,
+                                      children=(proof,))
+
+    def _certify(self, instance: Literal, target: str,
+                 overlay: CredentialStore) -> Optional[ProofNode]:
+        """An evidence proof of ``instance``, the goal as a remote answer
+        from ``target`` instantiates it, from this peer's wallet and
+        session overlay.  A ground instance is certified once per session
+        (DESIGN.md, "Certified answers once per session"): its proof is
+        stored and reused when the same answer arrives again; a failure is
+        not stored."""
+        key = None
+        if instance.is_ground():
+            key = (self.peer.name, self.requester, target, instance)
+            proof = self.session.certified(key)
+            if proof is not None:
+                return proof
         evidence = EvalContext(
             peer=self.peer,
             session=self.session,
@@ -738,14 +761,10 @@ class EvalContext(SLDEngine):
             allow_remote=False,
             drop_peers=frozenset({target}),
         )
-        proof = evidence.derive_evidence(goal.apply(answer_subst))
-        if proof is None:
-            self.session.counters["uncertified_answers"] += 1
-            self.session.log("uncertified", self.peer.name, target,
-                             str(goal.apply(answer_subst)))
-            return
-        yield answer_subst, ProofNode(goal.apply(answer_subst), "remote",
-                                      peer=target, children=(proof,))
+        proof = evidence.derive_evidence(instance)
+        if proof is not None and key is not None:
+            self.session.note_certified(key, proof)
+        return proof
 
 
 def evidence_context(

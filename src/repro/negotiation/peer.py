@@ -41,7 +41,7 @@ from repro.crypto.keys import KeyPair, KeyRing
 from repro.datalog.ast import Literal, Rule, fact
 from repro.datalog.builtins import BuiltinRegistry
 from repro.datalog.knowledge import KnowledgeBase
-from repro.datalog.sld import Solution, canonical_literal
+from repro.datalog.sld import Solution, answered_goal, canonical_literal
 from repro.datalog.terms import Constant
 from repro.errors import (
     CredentialError,
@@ -78,7 +78,7 @@ from repro.negotiation.session import (
 from repro.obs import trace as _trace
 from repro.obs.flightrec import RECORDER as _FLIGHTREC
 from repro.policy.pseudovars import (
-    REQUESTER, bind_pseudovars, bind_pseudovars_in_literal)
+    REQUESTER, SELF, bind_pseudovars, bind_pseudovars_in_literal)
 from repro.policy.release import (
     credential_release_decisions,
     credential_release_heads,
@@ -487,8 +487,12 @@ class Peer:
             context.table_node = node
             # A ground goal is a yes/no question: one proof settles it.
             # Open goals enumerate up to max_answers distinct solutions.
-            limit = 1 if message.goal.is_ground() else self.max_answers
-            source = context.iter_query_goal(message.goal, max_solutions=limit)
+            goal = message.goal
+            limit = 1 if goal.is_ground() else self.max_answers
+            # Without Requester or Self the evaluated goal is the query
+            # itself, so a ground proof goal is the answered literal.
+            plain = goal.variables().isdisjoint((REQUESTER, SELF))
+            source = context.iter_query_goal(goal, max_solutions=limit)
             if span is not None:
                 source = tracer.resume_under(span, source)
             outcome = None
@@ -501,7 +505,10 @@ class Peer:
                 if isinstance(item, Suspension):
                     outcome = yield item
                     continue
-                answered = message.goal.apply(item.subst)
+                if plain:
+                    answered = answered_goal(goal, item.proofs[0], item.subst)
+                else:
+                    answered = goal.apply(item.subst)
                 if node.add_answer(canonical_literal(answered),
                                    (answered, item)):
                     session.counters["table_answers"] += 1

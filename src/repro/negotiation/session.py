@@ -173,6 +173,9 @@ class Session:
         self.transcript: list[TranscriptEvent] = []
         self._received: dict[str, CredentialStore] = {}
         self._release_cache: dict[tuple, bool] = {}
+        # Certified remote answers: (receiving peer, requester, answering
+        # peer, ground answered goal) -> evidence proof.
+        self._certified: dict[tuple, object] = {}
         self._holders: dict[str, set[str]] = {}
         # Disclosure-delta wire ledger: (sender, receiver) -> serials whose
         # full payload already crossed that directed link in this session.
@@ -351,6 +354,24 @@ class Session:
 
     def cache_release(self, key: tuple, allowed: bool) -> None:
         self._release_cache[key] = allowed
+
+    # -- certified remote answers ------------------------------------------------------
+
+    def certified(self, key: tuple) -> Optional[object]:
+        return self._certified.get(key)
+
+    def note_certified(self, key: tuple, proof: object) -> None:
+        self._certified[key] = proof
+
+    def drop_decisions_for(self, owner: str) -> None:
+        """Forget ``owner``'s release decisions and certified answers (the
+        peer crashed: the overlay they were proved from is gone, so its
+        next incarnation asks for those credentials again)."""
+        self._release_cache = {key: allowed for key, allowed
+                               in self._release_cache.items()
+                               if key[1] != owner}
+        self._certified = {key: proof for key, proof
+                           in self._certified.items() if key[0] != owner}
 
     def __repr__(self) -> str:
         return (f"Session({self.id!r}, initiator={self.initiator!r}, "

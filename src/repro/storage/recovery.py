@@ -7,16 +7,18 @@ What persists
     keyed by serial, as it happens.
 
     Session state — disclosure overlays, disclosure-delta wire ledgers,
-    cached replies, goal tables — lives in RAM only and dies with the
-    process.  A negotiation is released as soon as it ends, so a disk
-    copy of its state would be written on every event and read on none.
+    cached replies, goal tables, release decisions, certified answers —
+    lives in RAM only and dies with the process.  A negotiation is
+    released as soon as it ends, so a disk copy of its state would be
+    written on every event and read on none.
 
 The recovery side
     :func:`crash_peer` models process death *in place*: wallet and overlay
     contents vanish from the very objects suspended evaluations captured,
-    ledger entries on the peer's links disappear, and its cached replies
-    are dropped.  :func:`recover_peer` restores the wallet from the store.
-    A live session continues *cold* for the restarted peer: replayed
+    ledger entries on the peer's links disappear, and its cached replies,
+    release decisions and certified answers are dropped.
+    :func:`recover_peer` restores the wallet from the store.  A live
+    session continues *cold* for the restarted peer: replayed
     requests are evaluated again, repeat credentials re-ship in full, and
     credentials disclosed to it earlier in the session are asked for
     again — a branch may lose answers, never gain unverified ones.
@@ -132,6 +134,7 @@ def crash_peer(transport, peer_name: str) -> None:
                       if entry[0] == peer_name]:
             session.in_flight.discard(entry)
         session.drop_tables_for(peer_name)
+        session.drop_decisions_for(peer_name)
     for cache in transport._reply_cache.values():
         for key in [key for key in cache if key[1] == peer_name]:
             del cache[key]
@@ -158,8 +161,7 @@ def recover_peer(transport, peer_name: str) -> RecoveryReport:
         span = tracer.begin("peer.recover", peer=peer_name,
                             backend=store.backend)
     try:
-        report.torn_journal_lines = getattr(
-            store, "recovered", {}).get("torn_lines", 0)
+        report.torn_journal_lines = store.take_torn_lines()
         for data in store.items(WALLET).values():
             if peer.credentials.add(credential_from_dict(data)):
                 report.credentials += 1

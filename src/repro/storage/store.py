@@ -120,6 +120,11 @@ class StateStore:
 
     # -- lifecycle -----------------------------------------------------------
 
+    def take_torn_lines(self) -> int:
+        """Torn journal tails cut since the last call, so a recovery
+        reports each tail once (memory stores have no journal)."""
+        return 0
+
     def checkpoint(self) -> None:
         """Compact durable state (no-op for memory stores)."""
 
@@ -182,6 +187,7 @@ class DurableStore(StateStore):
         # trailing lines discarded.  Recovery observability reads these.
         self.recovered = {"journal_records": 0, "torn_lines": 0,
                           "from_snapshot": False}
+        self._torn_taken = 0  # of recovered["torn_lines"], already reported
         self._handle = None  # the journal's append handle, opened on demand
         self._load()
 
@@ -223,6 +229,11 @@ class DurableStore(StateStore):
         for record in records:
             self._apply(record)
         self.recovered["journal_records"] = len(records)
+
+    def take_torn_lines(self) -> int:
+        torn = self.recovered["torn_lines"] - self._torn_taken
+        self._torn_taken += torn
+        return torn
 
     def _apply(self, record: dict) -> None:
         op, ns, key = record["op"], record.get("ns"), record.get("key")

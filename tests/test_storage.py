@@ -448,6 +448,47 @@ class TestCrashRecovery:
         assert [item.answer_credential.serial for item in replayed.items] == [
             item.answer_credential.serial for item in first.items]
 
+    def test_restarted_peer_asks_for_release_credentials_again(self):
+        from repro.scenarios.elearn import (
+            build_scenario1,
+            run_discount_negotiation,
+        )
+
+        scenario = build_scenario1(key_bits=KEY_BITS)
+        world = scenario.world
+        transport = world.transport
+        world.attach_state_stores("memory")
+        # Keep the session live so E-Learn can ask Alice again in it.
+        transport.release_session = lambda session_id: None
+        try:
+            session = run_discount_negotiation(scenario).session
+            restart_peer(transport, "Alice")
+            seen = len(session.transcript)
+            reply = transport.request(QueryMessage(
+                sender="E-Learn", receiver="Alice", session_id=session.id,
+                goal=parse_literal('student("Alice") @ "UIUC"')))
+            assert len(reply.items) == 1
+            # Alice's release decision was proved from an overlay the
+            # restart emptied: she asks for E-Learn's BBB membership again.
+            assert [(event.actor, event.detail) for event
+                    in session.transcript[seen:] if event.kind == "query"] \
+                == [("Alice", 'member("E-Learn") @ "BBB"')]
+        finally:
+            world.detach_state_stores()
+
+    def test_torn_tail_is_reported_once(self, tmp_path):
+        world, _client = _quickstart()
+        journal = tmp_path / "client" / DurableStore.JOURNAL
+        journal.parent.mkdir()
+        journal.write_text('{"txn":1,"op":"put","ns":"wal')  # crash mid-append
+        world.transport.attach_state_store("Client",
+                                           DurableStore(tmp_path / "client"))
+        try:
+            assert [restart_peer(world.transport, "Client").torn_journal_lines
+                    for _ in range(3)] == [1, 0, 0]
+        finally:
+            world.detach_state_stores()
+
     def test_session_release_leaves_no_stale_namespaces(self, attach_stores):
         for backend in ("memory", "durable"):
             world, client = _quickstart()
